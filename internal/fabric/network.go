@@ -9,10 +9,12 @@ import (
 	"github.com/irnsim/irn/internal/topo"
 )
 
-// node is anything attached to links: a Switch or a NIC.
+// node is anything attached to links: a Switch or a NIC. Both methods
+// take the receiving port's index, fixed when the link was wired (a NIC
+// has the single port 0).
 type node interface {
-	receive(pkt *packet.Packet, from packet.NodeID)
-	pfcFrame(from packet.NodeID, pause bool)
+	receive(pkt *packet.Packet, in int)
+	pfcFrame(in int, pause bool)
 }
 
 // partition is one shard's slice of the fabric: the nodes assigned to one
@@ -142,12 +144,14 @@ func NewPartitioned(engs []*sim.Engine, assign []int, t topo.Topology, cfg Confi
 	// Wire both directions of every link, attaching each direction's
 	// fault state (nil on healthy links).
 	for i, l := range t.Links() {
+		a, b := net.addPort(l.A, l.B), net.addPort(l.B, l.A)
 		net.ports = append(net.ports,
-			net.wire(l.A, l.B, cfg.Faults.Dir(i, false)),
-			net.wire(l.B, l.A, cfg.Faults.Dir(i, true)))
+			net.wire(l.A, a, l.B, b, cfg.Faults.Dir(i, false)),
+			net.wire(l.B, b, l.A, a, cfg.Faults.Dir(i, true)))
 	}
+	scratch := newRouteScratch(len(nodes))
 	for _, sw := range net.switches {
-		sw.finalize()
+		sw.finalize(scratch)
 	}
 
 	net.computeLookahead()
@@ -251,10 +255,20 @@ func (net *Network) scheduleFaults(m *fault.Model) {
 	}
 }
 
-// wire creates the unidirectional port from → to and returns it. A
-// boundary crossing (endpoints on different partitions) gets a
-// cross-shard channel in place of direct delivery.
-func (net *Network) wire(from, to packet.NodeID, flt *fault.Link) *outPort {
+// addPort attaches one end of a link to node n and returns the end's port
+// index at n: a switch grows a port, a host has only its single port 0.
+func (net *Network) addPort(n, neighbor packet.NodeID) int {
+	if sw, ok := net.nodes[n].(*Switch); ok {
+		return sw.addPort(neighbor)
+	}
+	return 0
+}
+
+// wire creates the unidirectional port from → to, leaving from through
+// its port out and arriving at to's port in, and returns it. A boundary
+// crossing (endpoints on different partitions) gets a cross-shard channel
+// in place of direct delivery.
+func (net *Network) wire(from packet.NodeID, out int, to packet.NodeID, in int, flt *fault.Link) *outPort {
 	owner := net.parts[net.partOf[from]]
 	dst := net.nodes[to]
 	clk := &net.clks[from]
@@ -267,7 +281,7 @@ func (net *Network) wire(from, to packet.NodeID, flt *fault.Link) *outPort {
 		consumer := net.parts[net.partOf[to]]
 		xchan = &linkChan{
 			dst:  dst,
-			from: from,
+			in:   in,
 			eng:  consumer.eng,
 			clk:  clk,
 			net:  net,
@@ -278,7 +292,7 @@ func (net *Network) wire(from, to packet.NodeID, flt *fault.Link) *outPort {
 		consumer.inbox = append(consumer.inbox, xchan)
 		net.chans = append(net.chans, xchan)
 	} else {
-		deliver = func(pkt *packet.Packet) { dst.receive(pkt, from) }
+		deliver = func(pkt *packet.Packet) { dst.receive(pkt, in) }
 	}
 
 	baseLoss := 0.0
@@ -297,14 +311,14 @@ func (net *Network) wire(from, to packet.NodeID, flt *fault.Link) *outPort {
 			prop:    net.Cfg.Prop,
 			flt:     flt,
 			origin:  true,
+			peer:    int32(in),
 			xchan:   xchan,
 			deliver: deliver,
 			source:  n.nextPacket,
 		}
 		return &n.egress
 	case *Switch:
-		idx := n.addPort(to)
-		o := n.out[idx]
+		o := n.out[out]
 		o.port = outPort{
 			eng:     owner.eng,
 			clk:     clk,
@@ -314,6 +328,7 @@ func (net *Network) wire(from, to packet.NodeID, flt *fault.Link) *outPort {
 			curLoss: baseLoss,
 			prop:    net.Cfg.Prop,
 			flt:     flt,
+			peer:    int32(in),
 			xchan:   xchan,
 			deliver: deliver,
 			source:  o.nextPacket,
@@ -489,38 +504,38 @@ func (net *Network) Census() Census {
 }
 
 // Network sim.Handler event kinds: a PFC frame arriving at its target
-// (arg packs (from, to, pause) — see sendPFC) and a scheduled fault-model
-// transition (arg packs directed-link index << 32 | schedule index). In
-// both cases the payload rides in the argument, so no frame or event
-// object exists per occurrence.
+// (arg packs (target node, target port, pause) — see sendPFC) and a
+// scheduled fault-model transition (arg packs directed-link index << 32 |
+// schedule index). In both cases the payload rides in the argument, so no
+// frame or event object exists per occurrence.
 const (
 	netPFC uint8 = iota
 	netFault
 )
 
-// sendPFC delivers a PFC frame from a switch to neighbor `to`. PFC frames
-// are link-local flow control below the packet queues: they are modelled
-// as arriving one control-frame serialization plus one propagation delay
-// after generation, without competing for queue space. The configured
-// headroom absorbs the data still in flight during that delay plus the
-// packet being serialized. A frame crossing a shard boundary rides the
-// from→to link's channel; either way it is ranked under the generating
-// switch's clock, so serial and sharded runs order it identically.
+// sendPFC delivers a PFC frame from switch sw, out of its port idx, to
+// the neighbor on that link. PFC frames are link-local flow control below
+// the packet queues: they are modelled as arriving one control-frame
+// serialization plus one propagation delay after generation, without
+// competing for queue space. The configured headroom absorbs the data
+// still in flight during that delay plus the packet being serialized. A
+// frame crossing a shard boundary rides the link's channel; either way it
+// is ranked under the generating switch's clock, so serial and sharded
+// runs order it identically.
 //
 // Folding the ControlFrame serialization into the arrival delay here is
 // what keeps PFC fabrics on the widened prop+serMin lookahead: every
 // frame that can cross a cut link — data, ACK family, PFC — is now due
 // at least serMin+prop after the instant it is pushed, so
 // computeLookahead needs no PFC special case.
-func (net *Network) sendPFC(from, to packet.NodeID, pause bool) {
-	sw := net.nodes[from].(*Switch)
-	port := &sw.out[sw.portOf[to]].port
+func (net *Network) sendPFC(sw *Switch, idx int, pause bool) {
+	port := &sw.out[idx].port
 	delay := net.Cfg.Rate.Serialize(packet.ControlFrame) + net.Cfg.Prop
 	if port.xchan != nil {
 		port.xchan.sendPFC(port.eng.Now().Add(delay), pause)
 		return
 	}
-	arg := uint64(uint32(from))<<33 | uint64(uint32(to))<<1
+	arg := uint64(uint32(sw.neighbors[idx]))<<33 | uint64(uint32(port.peer))<<1
 	if pause {
 		arg |= 1
 	}
@@ -535,9 +550,9 @@ func (net *Network) HandleEvent(kind uint8, arg uint64) {
 		net.ports[d].applyChange(net.Cfg.Faults.Dirs()[d].Sched[arg&0xffffffff])
 		return
 	}
-	from := packet.NodeID(int32(arg >> 33))
-	to := packet.NodeID(int32(arg >> 1 & 0xffffffff))
-	net.nodes[to].pfcFrame(from, arg&1 != 0)
+	to := packet.NodeID(int32(arg >> 33))
+	in := int(uint32(arg >> 1))
+	net.nodes[to].pfcFrame(in, arg&1 != 0)
 }
 
 // QueuedBytes reports total bytes buffered across all switches — a

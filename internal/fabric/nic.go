@@ -197,7 +197,7 @@ func (n *NIC) reap() {
 // the pool. Transports therefore must not retain the *Packet past
 // HandleData/HandleControl — they read the fields they need and emit fresh
 // control packets instead, which every transport in this repo does.
-func (n *NIC) receive(pkt *packet.Packet, _ packet.NodeID) {
+func (n *NIC) receive(pkt *packet.Packet, _ int) {
 	now := n.part.eng.Now()
 	n.part.census.Delivered++
 	switch pkt.Type {
@@ -224,7 +224,7 @@ func (n *NIC) receive(pkt *packet.Packet, _ packet.NodeID) {
 
 // pfcFrame pauses or resumes the NIC egress (PFC asserted by the edge
 // switch).
-func (n *NIC) pfcFrame(_ packet.NodeID, pause bool) {
+func (n *NIC) pfcFrame(_ int, pause bool) {
 	if pause {
 		n.egress.pause()
 	} else {

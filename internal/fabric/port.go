@@ -91,6 +91,11 @@ type outPort struct {
 	busy   bool
 	paused bool // PFC X-OFF received from downstream
 	down   bool // link failed (fault.ChangeDown); nothing transmits
+
+	// peer is the receiving node's port index on this link, where a PFC
+	// frame sent back along the link must land (see Network.sendPFC).
+	// It shares the flag bytes' word.
+	peer int32
 }
 
 // kick starts a transmission if the port is idle, unpaused, up, and a

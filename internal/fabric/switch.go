@@ -1,6 +1,9 @@
 package fabric
 
 import (
+	"fmt"
+	"slices"
+
 	"github.com/irnsim/irn/internal/packet"
 	"github.com/irnsim/irn/internal/sim"
 )
@@ -15,14 +18,20 @@ type Switch struct {
 	part *partition // the shard slice this switch belongs to
 	rng  *sim.RNG   // per-switch ECN marking stream
 
-	neighbors []packet.NodeID       // port index → neighbor node
-	portOf    map[packet.NodeID]int // neighbor node → port index
-	in        []inState             // per input port
-	out       []*swOut              // per output port
-	routes    [][]int               // dst host → candidate output ports
-	salt      uint64                // per-switch ECMP salt
-	sprayCtr  uint64                // per-packet path counter (Spray mode)
-	shared    int                   // shared-buffer occupancy (SharedBuffer mode)
+	neighbors []packet.NodeID // port index → neighbor node
+	in        []inState       // per input port
+	out       []*swOut        // per output port
+	salt      uint64          // per-switch ECMP salt
+	sprayCtr  uint64          // per-packet path counter (Spray mode)
+	shared    int             // shared-buffer occupancy (SharedBuffer mode)
+
+	// Forwarding state. A switch has only a handful of distinct
+	// candidate-port lists — a fat-tree edge or aggregation switch k/2+1
+	// (one per down port plus the shared up set), a core switch k — so
+	// each distinct list is stored once in sets, and routes maps every
+	// destination host to its list's index.
+	sets   [][]int // interned candidate output ports, in ECMP order
+	routes []int32 // dst host → index into sets
 }
 
 type inState struct {
@@ -41,12 +50,11 @@ type swOut struct {
 // newSwitch wires a switch shell; ports are attached by the Network.
 func newSwitch(id packet.NodeID, net *Network, part *partition) *Switch {
 	return &Switch{
-		id:     id,
-		net:    net,
-		part:   part,
-		rng:    ecnRNG(net.Cfg.Seed, id),
-		portOf: make(map[packet.NodeID]int),
-		salt:   mix64(uint64(id) + 0x5151_7eb5_c0de),
+		id:   id,
+		net:  net,
+		part: part,
+		rng:  ecnRNG(net.Cfg.Seed, id),
+		salt: mix64(uint64(id) + 0x5151_7eb5_c0de),
 	}
 }
 
@@ -54,29 +62,72 @@ func newSwitch(id packet.NodeID, net *Network, part *partition) *Switch {
 func (s *Switch) addPort(neighbor packet.NodeID) int {
 	idx := len(s.neighbors)
 	s.neighbors = append(s.neighbors, neighbor)
-	s.portOf[neighbor] = idx
 	s.in = append(s.in, inState{})
 	o := &swOut{sw: s}
 	s.out = append(s.out, o)
 	return idx
 }
 
-// finalize sizes the VOQ matrices and routing table once all ports exist.
-func (s *Switch) finalize() {
+// routeScratch is the working memory finalize reuses across every switch
+// of one fabric build, so building the forwarding state allocates only
+// the state itself.
+type routeScratch struct {
+	portOf []int32         // node → port index at the switch being finalized; -1 elsewhere
+	hops   []packet.NodeID // one destination's next hops
+	ports  []int           // the same hops as port indexes
+}
+
+func newRouteScratch(nodes int) *routeScratch {
+	rs := &routeScratch{portOf: make([]int32, nodes)}
+	for i := range rs.portOf {
+		rs.portOf[i] = -1
+	}
+	return rs
+}
+
+// finalize sizes the VOQ matrices and builds the routing table once all
+// ports exist: each destination's next hops, mapped to port indexes in
+// the topology's ECMP order, are interned into sets.
+func (s *Switch) finalize(rs *routeScratch) {
 	n := len(s.neighbors)
 	for _, o := range s.out {
 		o.voq = make([]pktQueue, n)
 	}
-	hosts := s.net.Topo.Hosts()
-	s.routes = make([][]int, hosts)
-	for dst := 0; dst < hosts; dst++ {
-		hops := s.net.Topo.NextHops(s.id, packet.NodeID(dst))
-		ports := make([]int, len(hops))
-		for i, h := range hops {
-			ports[i] = s.portOf[h]
-		}
-		s.routes[dst] = ports
+	for i, nb := range s.neighbors {
+		rs.portOf[nb] = int32(i)
 	}
+	hosts := s.net.Topo.Hosts()
+	s.routes = make([]int32, hosts)
+	cur := -1 // the previous destination's set: runs of hosts share one
+	for dst := 0; dst < hosts; dst++ {
+		rs.hops = s.net.Topo.AppendNextHops(rs.hops[:0], s.id, packet.NodeID(dst))
+		rs.ports = rs.ports[:0]
+		for _, h := range rs.hops {
+			p := rs.portOf[h]
+			if p < 0 {
+				panic(fmt.Sprintf("fabric: next hop %d of switch %d toward %d is not a neighbor", h, s.id, dst))
+			}
+			rs.ports = append(rs.ports, int(p))
+		}
+		if cur < 0 || !slices.Equal(s.sets[cur], rs.ports) {
+			cur = s.internSet(rs.ports)
+		}
+		s.routes[dst] = int32(cur)
+	}
+	for _, nb := range s.neighbors {
+		rs.portOf[nb] = -1
+	}
+}
+
+// internSet returns the index of ports in sets, adding a copy if absent.
+func (s *Switch) internSet(ports []int) int {
+	for i, set := range s.sets {
+		if slices.Equal(set, ports) {
+			return i
+		}
+	}
+	s.sets = append(s.sets, slices.Clone(ports))
+	return len(s.sets) - 1
 }
 
 // reset returns the switch to its just-built state for a new run: empty
@@ -98,9 +149,8 @@ func (s *Switch) reset() {
 	s.shared = 0
 }
 
-// receive handles a packet arriving on the link from neighbor `from`.
-func (s *Switch) receive(pkt *packet.Packet, from packet.NodeID) {
-	inIdx := s.portOf[from]
+// receive handles a packet arriving on input port inIdx.
+func (s *Switch) receive(pkt *packet.Packet, inIdx int) {
 	cfg := &s.net.Cfg
 
 	// Injected losses (tests, failure-injection experiments). A drop is
@@ -148,7 +198,7 @@ func (s *Switch) receive(pkt *packet.Packet, from packet.NodeID) {
 	if cfg.PFC && !s.in[inIdx].paused && s.in[inIdx].bytes > cfg.PFCThreshold() {
 		s.in[inIdx].paused = true
 		s.part.stats.PauseFrames++
-		s.net.sendPFC(s.id, from, true)
+		s.net.sendPFC(s, inIdx, true)
 	}
 
 	o.port.kick()
@@ -162,7 +212,7 @@ func (s *Switch) receive(pkt *packet.Packet, from packet.NodeID) {
 // hashed pick stands — the packet queues at the dead port and its loss is
 // recovered like any other.
 func (s *Switch) pickOutput(pkt *packet.Packet) int {
-	ports := s.routes[pkt.Dst]
+	ports := s.sets[s.routes[pkt.Dst]]
 	if len(ports) == 1 {
 		return ports[0]
 	}
@@ -228,14 +278,14 @@ func (s *Switch) dequeued(inIdx int, pkt *packet.Packet) {
 		s.in[inIdx].bytes <= cfg.PFCThreshold()-cfg.PFCHysteresis {
 		s.in[inIdx].paused = false
 		s.part.stats.ResumeFrames++
-		s.net.sendPFC(s.id, s.neighbors[inIdx], false)
+		s.net.sendPFC(s, inIdx, false)
 	}
 }
 
-// pfcFrame handles an X-OFF/X-ON received from a downstream neighbor: it
-// pauses or resumes this switch's output port facing that neighbor.
-func (s *Switch) pfcFrame(from packet.NodeID, pause bool) {
-	o := s.out[s.portOf[from]]
+// pfcFrame handles an X-OFF/X-ON received on port idx from the downstream
+// neighbor: it pauses or resumes this switch's output port on that link.
+func (s *Switch) pfcFrame(idx int, pause bool) {
+	o := s.out[idx]
 	if pause {
 		o.port.pause()
 	} else {

@@ -45,12 +45,12 @@ func (s *Star) Links() []Link {
 	return links
 }
 
-// NextHops implements Topology.
-func (s *Star) NextHops(from, dst packet.NodeID) []packet.NodeID {
+// AppendNextHops implements Topology.
+func (s *Star) AppendNextHops(buf []packet.NodeID, from, dst packet.NodeID) []packet.NodeID {
 	if from == s.swID() {
-		return []packet.NodeID{dst}
+		return append(buf, dst)
 	}
-	return []packet.NodeID{s.swID()}
+	return append(buf, s.swID())
 }
 
 // LongestPathHops implements Topology.
@@ -115,25 +115,25 @@ func (d *Dumbbell) Links() []Link {
 	return links
 }
 
-// NextHops implements Topology.
-func (d *Dumbbell) NextHops(from, dst packet.NodeID) []packet.NodeID {
+// AppendNextHops implements Topology.
+func (d *Dumbbell) AppendNextHops(buf []packet.NodeID, from, dst packet.NodeID) []packet.NodeID {
 	dstLeft := int(dst) < d.PerSide
 	switch from {
 	case d.left():
 		if dstLeft {
-			return []packet.NodeID{dst}
+			return append(buf, dst)
 		}
-		return []packet.NodeID{d.right()}
+		return append(buf, d.right())
 	case d.right():
 		if dstLeft {
-			return []packet.NodeID{d.left()}
+			return append(buf, d.left())
 		}
-		return []packet.NodeID{dst}
+		return append(buf, dst)
 	default:
 		if int(from) < d.PerSide {
-			return []packet.NodeID{d.left()}
+			return append(buf, d.left())
 		}
-		return []packet.NodeID{d.right()}
+		return append(buf, d.right())
 	}
 }
 
@@ -154,12 +154,13 @@ func (d *Dumbbell) PathHops(src, dst packet.NodeID) int {
 var _ Topology = (*Dumbbell)(nil)
 
 // Validate sanity-checks a topology: every host reaches every other host
-// by following NextHops, within a bounded hop count. It returns an error
-// describing the first routing loop or dead end found. Tests use it for
-// every topology size the experiments touch.
+// by following AppendNextHops, within a bounded hop count. It returns an
+// error describing the first routing loop or dead end found. Tests use it
+// for every topology size the experiments touch.
 func Validate(t Topology) error {
 	hosts := t.Hosts()
 	maxHops := t.LongestPathHops() + 2
+	var hops []packet.NodeID
 	for src := 0; src < hosts; src++ {
 		for dst := 0; dst < hosts; dst++ {
 			if src == dst {
@@ -173,7 +174,7 @@ func Validate(t Topology) error {
 				if hop > maxHops {
 					return fmt.Errorf("topo: no route %d→%d within %d hops", src, dst, maxHops)
 				}
-				hops := t.NextHops(cur, packet.NodeID(dst))
+				hops = t.AppendNextHops(hops[:0], cur, packet.NodeID(dst))
 				if len(hops) == 0 {
 					return fmt.Errorf("topo: dead end at %d for %d→%d", cur, src, dst)
 				}

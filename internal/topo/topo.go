@@ -63,10 +63,13 @@ type Topology interface {
 	Nodes() []Node
 	// Links lists every full-duplex link exactly once.
 	Links() []Link
-	// NextHops returns the equal-cost neighbor choices at node from for
-	// traffic destined to host dst. Panics if from is a host other than
-	// dst's attachment path start (hosts have exactly one uplink).
-	NextHops(from, dst packet.NodeID) []packet.NodeID
+	// AppendNextHops appends the equal-cost neighbor choices at node from
+	// for traffic destined to host dst to buf and returns the extended
+	// slice. From a host it appends the host's single uplink. The order of
+	// the appended hops is the ECMP order: the fabric's pickOutput hashes
+	// over the matching output ports in exactly this order, so changing it
+	// changes which path every flow takes.
+	AppendNextHops(buf []packet.NodeID, from, dst packet.NodeID) []packet.NodeID
 	// LongestPathHops returns the maximum number of links on any
 	// host-to-host shortest path (6 for a three-tier fat-tree).
 	LongestPathHops() int
@@ -200,9 +203,9 @@ func (t *FatTree) PathHops(src, dst packet.NodeID) int {
 	return 6
 }
 
-// NextHops implements Topology. The relation is computed arithmetically —
-// fat-trees are regular, so no routing tables are needed.
-func (t *FatTree) NextHops(from, dst packet.NodeID) []packet.NodeID {
+// AppendNextHops implements Topology. The relation is computed
+// arithmetically — fat-trees are regular, so no routing tables are needed.
+func (t *FatTree) AppendNextHops(buf []packet.NodeID, from, dst packet.NodeID) []packet.NodeID {
 	hosts := packet.NodeID(t.hosts())
 	half := t.half()
 	dstPod := t.hostPod(dst)
@@ -211,39 +214,37 @@ func (t *FatTree) NextHops(from, dst packet.NodeID) []packet.NodeID {
 	switch {
 	case from < hosts:
 		// Host: single uplink.
-		return []packet.NodeID{t.edgeID(t.hostPod(from), t.hostEdge(from))}
+		return append(buf, t.edgeID(t.hostPod(from), t.hostEdge(from)))
 
 	case from < hosts+packet.NodeID(t.K*half):
 		// Edge switch.
 		e := int(from - hosts)
 		pod, idx := e/half, e%half
 		if pod == dstPod && idx == dstEdge {
-			return []packet.NodeID{dst} // directly attached
+			return append(buf, dst) // directly attached
 		}
-		ups := make([]packet.NodeID, half)
 		for a := 0; a < half; a++ {
-			ups[a] = t.aggID(pod, a)
+			buf = append(buf, t.aggID(pod, a))
 		}
-		return ups
+		return buf
 
 	case from < hosts+packet.NodeID(2*t.K*half):
 		// Aggregation switch.
 		a := int(from-hosts) - t.K*half
 		pod, idx := a/half, a%half
 		if pod == dstPod {
-			return []packet.NodeID{t.edgeID(pod, dstEdge)}
+			return append(buf, t.edgeID(pod, dstEdge))
 		}
-		ups := make([]packet.NodeID, half)
 		for i := 0; i < half; i++ {
-			ups[i] = t.coreID(idx*half + i)
+			buf = append(buf, t.coreID(idx*half+i))
 		}
-		return ups
+		return buf
 
 	default:
 		// Core switch c connects to agg with in-pod index c/half in
 		// every pod.
 		c := int(from-hosts) - 2*t.K*half
-		return []packet.NodeID{t.aggID(dstPod, c/half)}
+		return append(buf, t.aggID(dstPod, c/half))
 	}
 }
 

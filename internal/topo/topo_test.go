@@ -75,20 +75,20 @@ func TestFatTreeECMPFanout(t *testing.T) {
 	// Cross-pod traffic from a host's edge switch should offer k/2
 	// aggregation choices; from an agg switch, k/2 core choices.
 	src, dst := packet.NodeID(0), packet.NodeID(53) // pods 0 and 5
-	edge := ft.NextHops(src, dst)
+	edge := ft.AppendNextHops(nil, src, dst)
 	if len(edge) != 1 {
 		t.Fatalf("host fanout = %d, want 1", len(edge))
 	}
-	aggs := ft.NextHops(edge[0], dst)
+	aggs := ft.AppendNextHops(nil, edge[0], dst)
 	if len(aggs) != 3 {
 		t.Errorf("edge fanout = %d, want 3", len(aggs))
 	}
-	cores := ft.NextHops(aggs[0], dst)
+	cores := ft.AppendNextHops(nil, aggs[0], dst)
 	if len(cores) != 3 {
 		t.Errorf("agg fanout = %d, want 3", len(cores))
 	}
 	// Core switches have exactly one way down.
-	down := ft.NextHops(cores[0], dst)
+	down := ft.AppendNextHops(nil, cores[0], dst)
 	if len(down) != 1 {
 		t.Errorf("core fanout = %d, want 1", len(down))
 	}
@@ -123,7 +123,7 @@ func TestFatTreeRouteHopCountMatchesPathHops(t *testing.T) {
 		cur := p[0]
 		hops := 0
 		for cur != p[1] {
-			cur = ft.NextHops(cur, p[1])[0]
+			cur = ft.AppendNextHops(nil, cur, p[1])[0]
 			hops++
 			if hops > 10 {
 				t.Fatalf("route %v loops", p)
