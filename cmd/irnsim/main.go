@@ -309,8 +309,8 @@ func main() {
 
 	if *shardInfo {
 		if st := r.ShardStats; st != nil {
-			fmt.Printf("windows        lookahead=%v barriers=%d wide=%d shards=%d\n",
-				st.Lookahead, st.Barriers, st.WideWindows, len(st.Shards))
+			fmt.Printf("windows        lookahead=%v barriers=%d shards=%d\n",
+				st.Lookahead, st.Barriers, len(st.Shards))
 			for i, sh := range st.Shards {
 				fmt.Printf("shard %-2d       windows=%d events=%d drained=%d barrier_wait=%v\n",
 					i, sh.Windows, sh.Events, sh.Drained,

@@ -63,13 +63,10 @@ func (w *Worker) runKV(s Scenario, net *fabric.Network, engines []*sim.Engine, t
 		Lookahead: lookahead,
 		Deadline:  lastIssue.Add(s.Grace),
 		Drain:     net.DrainAll,
-		Done:      svc.Done,
-		Horizon: func() sim.Time {
-			return svc.LastResolve().Add(net.WindowSlack())
+		Done: func() (sim.Time, bool) {
+			return svc.LastResolve().Add(net.WindowSlack()), svc.Done()
 		},
-		Widen:        svc.Widen,
-		FixedWindows: s.FixedWindows,
-		Stats:        &wstats,
+		Stats: &wstats,
 	})
 
 	res := Result{

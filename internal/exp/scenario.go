@@ -188,16 +188,6 @@ type Scenario struct {
 	// differential test asserts; like Shards and ExactMetrics it is
 	// excluded from the store fingerprint.
 	BareLookahead bool
-
-	// FixedWindows disables the adaptive safe-window extension (see
-	// sim.RunWindows): every window spans exactly one lookahead past the
-	// global minimum, paying a barrier per window even through sparse
-	// phases. Results are bit-identical either way — the Done horizon
-	// pins the executed-event set independently of window boundaries —
-	// so, like Shards and BareLookahead, it is excluded from the store
-	// fingerprint. The barrier-count regression tests set it to measure
-	// the collapse the adaptive extension buys.
-	FixedWindows bool
 }
 
 // normalize fills defaults.
@@ -314,17 +304,16 @@ type Result struct {
 
 // ShardStats reports how the conservative windowed runtime behaved for
 // one run: which lookahead was in force, how many barriers the run paid,
-// how many windows the adaptive extension widened, and what each shard
-// did between barriers. Surfaced by `irnsim -shard-stats` and the bench
-// suite's ReportMetric columns.
+// and what each shard did between barriers. Surfaced by
+// `irnsim -shard-stats` and the bench suite's ReportMetric columns.
 type ShardStats struct {
 	// Lookahead is the safe-window width in force (the fabric's proven
 	// bound, or bare Prop under Scenario.BareLookahead).
 	Lookahead sim.Duration
-	// Barriers is the number of window barriers the run paid and
-	// WideWindows how many of those adaptively extended a shard's window
-	// past the uniform lookahead bound.
-	Barriers    uint64
+	// Barriers is the number of window barriers the run paid.
+	Barriers uint64
+	// WideWindows is always 0: every window spans exactly one lookahead.
+	// The field stays for readers of earlier reports.
 	WideWindows uint64
 	// Shards holds one entry per shard engine, index-aligned with the
 	// partitioning.
@@ -335,10 +324,9 @@ type ShardStats struct {
 // per-shard boundary drain counts into the Result's shard-runtime report.
 func buildShardStats(net *fabric.Network, lookahead sim.Duration, w *sim.WindowStats) *ShardStats {
 	st := &ShardStats{
-		Lookahead:   lookahead,
-		Barriers:    w.Barriers,
-		WideWindows: w.WideWindows,
-		Shards:      make([]ShardStat, len(w.Shards)),
+		Lookahead: lookahead,
+		Barriers:  w.Barriers,
+		Shards:    make([]ShardStat, len(w.Shards)),
 	}
 	for i, sh := range w.Shards {
 		st.Shards[i] = ShardStat{
@@ -659,15 +647,12 @@ func (w *Worker) Run(s Scenario) Result {
 	deadline := lastArrival.Add(s.Grace)
 	var wstats sim.WindowStats
 	sim.RunWindows(sim.WindowConfig{
-		Engines:      engines,
-		Lookahead:    lookahead,
-		Deadline:     deadline,
-		Drain:        net.DrainAll,
-		Done:         l.allDone,
-		Horizon:      l.horizon,
-		Widen:        l.widen,
-		FixedWindows: s.FixedWindows,
-		Stats:        &wstats,
+		Engines:   engines,
+		Lookahead: lookahead,
+		Deadline:  deadline,
+		Drain:     net.DrainAll,
+		Done:      l.done,
+		Stats:     &wstats,
 	})
 
 	res := Result{
@@ -742,13 +727,7 @@ type launcherShard struct {
 	done       int      // flows whose destination lives on this shard
 	incastDone sim.Time // latest incast completion seen on this shard
 	lastDone   sim.Time // latest completion of any flow on this shard
-	// stopTarget, when positive, is the done count at which this shard
-	// self-stops its engine: the widen grant's promise that the shard
-	// halts no later than the run's Done condition turning true. Written
-	// by the coordinator at barriers (widen), read by the shard during
-	// windows (FlowDone) — barrier ordering covers both.
-	stopTarget int
-	_          [4]uint64
+	_          [5]uint64
 }
 
 // launcher wires each flow's transports at the flow's arrival time and
@@ -786,14 +765,25 @@ func (l *launcher) HandleEvent(kind uint8, arg uint64) {
 	}
 }
 
-// allDone reports whether every flow completed — the windowed run's stop
-// condition, polled at barriers where all shards are quiescent.
-func (l *launcher) allDone() bool {
+// done is the sim.WindowConfig.Done hook, polled at barriers where all
+// shards are quiescent, so reading the shard slots is ordered. Once every
+// flow has completed, the run is clamped to the last completion time plus
+// the canonical window slack — the latest instant any window containing
+// that completion could reach, for any shard count and any lookahead at
+// or below the slack. Clamping to a canonical instant (rather than
+// stopping at whatever barrier noticed completion) is what keeps Events,
+// SimTime and the trailing census identical across partitionings and
+// lookahead widths.
+func (l *launcher) done() (sim.Time, bool) {
 	done := 0
+	var last sim.Time
 	for i := range l.shard {
 		done += l.shard[i].done
+		if t := l.shard[i].lastDone; t > last {
+			last = t
+		}
 	}
-	return done == len(l.specs)
+	return last.Add(l.net.WindowSlack()), done == len(l.specs)
 }
 
 // FlowDone implements transport.Completer: flow fl's last packet arrived.
@@ -818,53 +808,6 @@ func (l *launcher) FlowDone(fl *transport.Flow, now sim.Time) {
 		sh.lastDone = now
 	}
 	sh.done++
-	if sh.stopTarget > 0 && sh.done >= sh.stopTarget {
-		// An adaptively widened window is in force and this shard just
-		// hit the flow count that makes the run's Done condition true:
-		// stop the engine so the barrier can evaluate it. The engine may
-		// resume in later windows if the snapshot was stale.
-		l.net.EngineOf(fl.Dst).Stop()
-	}
-}
-
-// widen is the sim.WindowConfig.Widen hook: consulted at a barrier when
-// shard is the unique minimum-holding shard and the run could extend its
-// window past the uniform lookahead bound. The grant's obligation is a
-// self-stop firing no later than allDone turning true, so the extension
-// cannot run past the completion the Done horizon would clamp to: allDone
-// is a pure flow count, so the hook arms shard's stopTarget at "every
-// flow not yet done elsewhere" — exactly the count at which this shard's
-// completions make allDone true. Stale snapshots are safe: if other
-// shards complete flows during the widened window, the global last
-// completion only moves later, and the horizon still covers the window.
-func (l *launcher) widen(shard int) bool {
-	others := 0
-	for i := range l.shard {
-		if i != shard {
-			others += l.shard[i].done
-			l.shard[i].stopTarget = 0
-		}
-	}
-	l.shard[shard].stopTarget = len(l.specs) - others
-	return true
-}
-
-// horizon is the sim.WindowConfig.Horizon hook: once every flow has
-// completed, the run is clamped to the last completion time plus the
-// canonical window slack — the latest instant any window containing that
-// completion could reach, for any shard count and any lookahead at or
-// below the slack. Clamping to a canonical instant (rather than stopping
-// at whatever barrier noticed completion) is what keeps Events, SimTime
-// and the trailing census identical across partitionings and lookahead
-// widths. Called at a barrier, so reading the shard slots is ordered.
-func (l *launcher) horizon() sim.Time {
-	var last sim.Time
-	for i := range l.shard {
-		if t := l.shard[i].lastDone; t > last {
-			last = t
-		}
-	}
-	return last.Add(l.net.WindowSlack())
 }
 
 // startSender attaches flow i's sender (and its congestion controller) to

@@ -134,73 +134,49 @@ func TestFleetShardArbitration(t *testing.T) {
 	}
 }
 
-// TestAdaptiveWindowsCollapseBarriers pins the adaptive safe-window
-// extension's payoff at 4 shards, asserted through the shard-stats
-// counters. Two regimes:
-//
-//   - Saturated fabrics (figscale, figdc): every shard holds events
-//     inside every lookahead window, so span/lookahead barriers is the
-//     conservative floor and no sound windowing can beat it by much. The
-//     extension must engage (wide windows granted), never pay MORE
-//     barriers than fixed windows, and leave the Result bit-identical —
-//     the Done horizon pins the executed-event set regardless of window
-//     boundaries.
-//
-//   - Sparse phases (the figkv chaos scenarios: blackouts, flaps, client
-//     backoff stretches): the extension must collapse the barrier count
-//     measurably — at least 10% below the fixed-window run, against the
-//     19–37% observed — because a lone shard holding the next timer
-//     event no longer drags every other shard through empty
-//     lookahead-wide windows.
-func TestAdaptiveWindowsCollapseBarriers(t *testing.T) {
+// TestShardRuntimeCountersRepeat pins the shard-runtime counters as a
+// pure function of the run: barrier counts and per-shard window, event
+// and drain tallies repeat exactly across identical runs (only the
+// wall-clock barrier wait may differ), the per-shard event split sums to
+// Result.Events, and no shard runs more than one window per barrier.
+func TestShardRuntimeCountersRepeat(t *testing.T) {
 	sc := shardScale()
-	compare := func(t *testing.T, s Scenario) (bf, ba uint64) {
-		t.Helper()
-		s.Shards = 4
-		fixed := s
-		fixed.FixedWindows = true
-		rf := Run(fixed)
-		ra := Run(s)
-
-		af, aa := stripShards(rf), stripShards(ra)
-		af.Scenario.FixedWindows = false
-		if !reflect.DeepEqual(af, aa) {
-			t.Fatalf("%s: adaptive windows changed the Result", s.Name)
-		}
-		if rf.ShardStats.WideWindows != 0 {
-			t.Fatalf("%s: fixed run reports %d widened windows, want 0",
-				s.Name, rf.ShardStats.WideWindows)
-		}
-		if ra.ShardStats.WideWindows == 0 {
-			t.Fatalf("%s: adaptive run widened no windows", s.Name)
-		}
-		bf, ba = rf.ShardStats.Barriers, ra.ShardStats.Barriers
-		t.Logf("%s: barriers fixed=%d adaptive=%d (%.0f%%), wide=%d",
-			s.Name, bf, ba, 100*float64(ba)/float64(bf), ra.ShardStats.WideWindows)
-		return bf, ba
+	cases := []struct {
+		s      Scenario
+		shards int
+	}{
+		{FigureKV(sc).Scenarios[0], 2},
+		{FigureScale(sc).Scenarios[0], 4},
 	}
-
-	for _, e := range []Experiment{FigureScale(sc), FigureDC(sc)} {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			t.Parallel()
-			for _, s := range e.Scenarios {
-				bf, ba := compare(t, s)
-				if ba > bf {
-					t.Fatalf("%s: adaptive run paid %d barriers vs fixed %d — extension made it worse",
-						s.Name, ba, bf)
-				}
+	for _, c := range cases {
+		s := c.s
+		s.Shards = c.shards
+		var runs [2]*ShardStats
+		for i := range runs {
+			r := Run(s)
+			st := r.ShardStats
+			var events, windows uint64
+			for k := range st.Shards {
+				events += st.Shards[k].Events
+				windows += st.Shards[k].Windows
+				st.Shards[k].BarrierWaitNs = 0
 			}
-		})
-	}
-	t.Run("figkv", func(t *testing.T) {
-		t.Parallel()
-		for _, s := range FigureKV(sc).Scenarios {
-			bf, ba := compare(t, s)
-			if ba*10 > bf*9 {
-				t.Fatalf("%s: adaptive run paid %d barriers vs fixed %d — want at least a 10%% collapse",
-					s.Name, ba, bf)
+			if events != r.Events {
+				t.Fatalf("%s: shard events sum to %d, Result.Events = %d", s.Name, events, r.Events)
 			}
+			if n := uint64(len(st.Shards)); windows > n*st.Barriers {
+				t.Fatalf("%s: %d windows on %d shards exceed %d barriers", s.Name, windows, n, st.Barriers)
+			}
+			if st.Barriers == 0 || st.WideWindows != 0 {
+				t.Fatalf("%s: barriers=%d wide=%d, want barriers > 0 and no wide windows",
+					s.Name, st.Barriers, st.WideWindows)
+			}
+			runs[i] = st
 		}
-	})
+		if !reflect.DeepEqual(runs[0], runs[1]) {
+			t.Fatalf("%s at %d shards: shard counters did not repeat:\nfirst:  %+v\nsecond: %+v",
+				s.Name, c.shards, *runs[0], *runs[1])
+		}
+		t.Logf("%s at %d shards: %d barriers", s.Name, c.shards, runs[0].Barriers)
+	}
 }

@@ -79,11 +79,6 @@ func Fingerprint(s Scenario) string {
 	// BareLookahead narrows the safe windows without changing the
 	// executed-event set (the lookahead differential test pins it).
 	n.BareLookahead = false
-	// FixedWindows disables the adaptive window extension — barrier
-	// cadence only, never the executed-event set (the barrier-count
-	// regression test pins the former, the determinism suites the
-	// latter).
-	n.FixedWindows = false
 	data, err := json.Marshal(n)
 	if err != nil {
 		// Scenario is a plain struct; Marshal cannot fail on it.

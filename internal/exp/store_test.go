@@ -113,6 +113,17 @@ func TestFingerprintSeparatesConfigs(t *testing.T) {
 	}
 }
 
+// TestFingerprintPinned pins one fingerprint to its literal value. The
+// fingerprint hashes the normalized Scenario's JSON, so adding, removing
+// or renaming any Scenario field moves every stored row's key at once
+// and leaves older result stores unmatched under -diff. A change here
+// must be deliberate and noted alongside the store format.
+func TestFingerprintPinned(t *testing.T) {
+	if got, want := Fingerprint(Scenario{NumFlows: 100, Seed: 1}), "27f78f8f"; got != want {
+		t.Fatalf("Fingerprint = %s, want %s: the Scenario JSON changed shape", got, want)
+	}
+}
+
 func TestSaveMergedAccumulates(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "acc.json")
 	rows := testRows()

@@ -284,7 +284,6 @@ func (net *Network) wire(from packet.NodeID, out int, to packet.NodeID, in int, 
 			in:   in,
 			eng:  consumer.eng,
 			clk:  clk,
-			net:  net,
 			part: consumer,
 			prod: net.parts[net.partOf[from]],
 			flt:  flt,

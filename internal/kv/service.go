@@ -8,7 +8,7 @@ package kv
 // object (QP, ring, timer) is built inside an attach event scheduled at
 // t=0 under the owning host's clock, so the owning shard creates and
 // exclusively drives it. The coordinator only reads client/leader state
-// at window barriers (Done/Horizon/Report), which the windowed runner
+// at window barriers (Done/LastResolve/Report), which the windowed runner
 // orders against all shard execution.
 
 import (
@@ -51,44 +51,6 @@ type Service struct {
 	leader    *server
 	followers []*follower
 	clients   []*client
-	// shard[k] is shard k's resolution bookkeeping, written by that
-	// shard's clients during windows and read (and armed) by the
-	// coordinator at barriers — the same split-ownership discipline as
-	// the flow launcher's per-shard slots.
-	shard []kvShard
-}
-
-// kvShard is one shard's completion counters for the windowed runtime's
-// adaptive extension. target, when positive, is the shard-local resolved
-// count at which the shard self-stops its engine — the Widen grant's
-// promise that the shard halts no later than Done turning true. Padded
-// so two shards' counters never share a cache line.
-type kvShard struct {
-	resolved uint64
-	target   uint64
-	_        [6]uint64
-}
-
-// Widen is the sim.WindowConfig.Widen hook: consulted at a barrier when
-// shard uniquely holds the minimum pending event and its window could
-// extend past the uniform lookahead bound. Done is a pure resolved
-// count, so the grant arms shard's target at "every request not yet
-// resolved elsewhere" — exactly the count at which this shard's
-// resolutions make Done true — and clears every other shard's target.
-// If shard hosts no clients the target is unreachable and the run falls
-// back to the deadline exit, identical to fixed windows; if other
-// shards resolve requests during the widened window, the global last
-// resolve only moves later and the horizon still covers the window.
-func (s *Service) Widen(shard int) bool {
-	var others uint64
-	for k := range s.shard {
-		if k != shard {
-			others += s.shard[k].resolved
-			s.shard[k].target = 0
-		}
-	}
-	s.shard[shard].target = uint64(len(s.issues)) - others
-	return true
 }
 
 // issue is one precomputed request: who issues it, when, and what.
@@ -126,7 +88,6 @@ func New(net *fabric.Network, pl Placement, qcfg verbs.Config, o Options, seed u
 		seed:      seed,
 		followers: make([]*follower, o.Followers),
 		clients:   make([]*client, o.Clients),
-		shard:     make([]kvShard, net.Shards()),
 	}
 	s.phaseNames = []string{"steady"}
 	for _, w := range o.Phases {
@@ -636,7 +597,6 @@ type phaseCount struct {
 type client struct {
 	s     *Service
 	idx   int
-	shard int // owning shard: index into Service.shard
 	nic   *fabric.NIC
 	ep    *endpoint
 	mem   *verbs.Memory
@@ -668,7 +628,6 @@ func (s *Service) attachClient(i int) {
 	c := &client{
 		s:     s,
 		idx:   i,
-		shard: s.net.ShardOf(s.pl.Clients[i]),
 		nic:   nic,
 		mem:   verbs.NewMemory(),
 		rng:   sim.NewRNG(sim.DeriveSeed(s.seed, "kv/backoff", i)),
@@ -823,7 +782,6 @@ func (c *client) resolve(status RespStatus, now sim.Time) {
 	is := &c.s.issues[r]
 	lat := now.Sub(is.at) // measured from the *scheduled* issue time
 	c.st.Resolved++
-	c.noteResolved()
 	b := c.s.bucketOf(is.at)
 	c.phase[b].Issued++
 	switch status {
@@ -849,18 +807,6 @@ func (c *client) resolve(status RespStatus, now sim.Time) {
 	c.startNext(now)
 }
 
-// noteResolved folds a terminal outcome into the owning shard's counter
-// and, when a Widen grant armed a target, self-stops the engine once
-// this shard's resolutions make the global Done condition true. The
-// engine resumes in later windows if the armed snapshot was stale.
-func (c *client) noteResolved() {
-	sh := &c.s.shard[c.shard]
-	sh.resolved++
-	if sh.target > 0 && sh.resolved >= sh.target {
-		c.nic.Engine().Stop()
-	}
-}
-
 // giveUp abandons the outstanding request after the retry budget.
 func (c *client) giveUp(now sim.Time) {
 	r := c.cur
@@ -868,7 +814,6 @@ func (c *client) giveUp(now sim.Time) {
 	c.inBackoff = false
 	is := &c.s.issues[r]
 	c.st.Resolved++
-	c.noteResolved()
 	c.st.GiveUps++
 	c.phase[c.s.bucketOf(is.at)].Issued++
 	if now > c.lastResolve {

@@ -190,32 +190,3 @@ func TestScheduleRankedBatchRecycledSlots(t *testing.T) {
 		}
 	}
 }
-
-// TestLimitWindow: an event may shrink the window it is executing inside
-// — RunWindow must stop before the new end and leave later events
-// pending with the cache primed.
-func TestLimitWindow(t *testing.T) {
-	e := NewEngine()
-	var got []uint64
-	h := recHandler{&got}
-	clamp := handlerFunc(func(_ uint8, arg uint64) {
-		got = append(got, arg)
-		e.LimitWindow(150)
-		e.LimitWindow(500) // growing is not possible
-	})
-	e.ScheduleEvent(10, clamp, 0, 1)
-	e.ScheduleEvent(100, h, 0, 2)
-	e.ScheduleEvent(200, h, 0, 3)
-	e.RunWindow(1000)
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("executed %v, want [1 2] — clamp must cut the window at 150", got)
-	}
-	if at, ok := e.NextEventTime(); !ok || at != 200 {
-		t.Fatalf("next = %d,%v, want 200 still pending", at, ok)
-	}
-	// The clamp applies to the current window only.
-	e.RunWindow(1000)
-	if len(got) != 3 || got[2] != 3 {
-		t.Fatalf("executed %v, want [1 2 3] after a fresh window", got)
-	}
-}

@@ -158,12 +158,6 @@ type Engine struct {
 	nextAt    Time
 	nextKnown bool
 
-	// windowEnd is the end of the window RunWindow is currently
-	// executing. LimitWindow shrinks it mid-run: the producer-side safety
-	// valve for adaptively widened windows (see RunWindows), called by
-	// this engine's own execution, so it needs no synchronization.
-	windowEnd Time
-
 	// Stats.
 	executed uint64
 }
@@ -183,7 +177,6 @@ func (e *Engine) Reset() {
 	e.clk.Reset()
 	e.stopped = false
 	e.nextAt, e.nextKnown = 0, false
-	e.windowEnd = 0
 	e.queue.reset()
 }
 
@@ -347,9 +340,8 @@ func (e *Engine) RunUntil(deadline Time) {
 func (e *Engine) RunWindow(end Time) {
 	e.stopped = false
 	e.nextKnown = false
-	e.windowEnd = end
 	for e.queue.size > 0 && !e.stopped {
-		if at := e.queue.peekAt(); at >= e.windowEnd {
+		if at := e.queue.peekAt(); at >= end {
 			// Prime the next-event cache with the peek just performed:
 			// the refill cost was paid here, on the shard's own goroutine
 			// inside the parallel section, so the coordinator's barrier
@@ -399,21 +391,6 @@ func (e *Engine) step() {
 // remain queued.
 func (e *Engine) Stop() { e.stopped = true }
 
-// LimitWindow shrinks the end of the window this engine is currently
-// executing (RunWindow exits before any event at or past the new end).
-// This is the producer-side guarantee behind adaptively widened safe
-// windows: when an event on a widened shard pushes a cross-engine
-// occurrence due at time d, anything the receiving shard does with it can
-// influence this engine no earlier than d plus the minimum cross-engine
-// latency — so the producer clamps its own window to that bound at the
-// push site (see fabric's boundary channels). Must only be called from
-// events executing on this engine; growing the window is not possible.
-func (e *Engine) LimitWindow(end Time) {
-	if end < e.windowEnd {
-		e.windowEnd = end
-	}
-}
-
 // Timer is a cancellable, re-armable one-shot timer.
 //
 // Re-arming is lazy: at most one engine event is ever pending per timer.
@@ -426,14 +403,12 @@ func (e *Engine) LimitWindow(end Time) {
 //
 // The timer's engine event rides the typed-handler path (the Timer is its
 // own Handler, with the generation counter as the event argument), so
-// arming and re-arming never allocate. The fire target is either a typed
-// (Handler, kind) pair — NewHandlerTimer, the allocation-free form — or a
-// plain func() for convenience.
+// arming and re-arming never allocate. The fire target is a typed
+// (Handler, kind) pair.
 type Timer struct {
 	eng      *Engine
-	clk      *Clock // rank source; nil falls back to the engine clock
-	fn       func()
-	h        Handler // fire target when fn is nil
+	clk      *Clock  // rank source; nil falls back to the engine clock
+	h        Handler // fire target
 	kind     uint8
 	deadline Time
 	armed    bool
@@ -442,18 +417,10 @@ type Timer struct {
 	pendGen  uint64 // invalidates superseded events (re-arm to earlier)
 }
 
-// NewTimer creates a timer that invokes fn when it fires. The timer starts
-// unarmed and ranks its events under the engine's own clock (test and
-// example convenience; not shard-safe).
-func NewTimer(eng *Engine, fn func()) *Timer {
-	return &Timer{eng: eng, fn: fn}
-}
-
 // NewHandlerTimer creates a timer that invokes h.HandleEvent(kind, 0) when
-// it fires, avoiding even the one-time closure allocation of NewTimer.
-// The timer starts unarmed and ranks its engine events under clk — the
-// owning node's clock, so timer events keep their canonical order under
-// sharded execution. A nil clk falls back to the engine clock.
+// it fires. The timer starts unarmed and ranks its engine events under
+// clk — the owning node's clock, so timer events keep their canonical
+// order under sharded execution. A nil clk falls back to the engine clock.
 func NewHandlerTimer(eng *Engine, clk *Clock, h Handler, kind uint8) *Timer {
 	return &Timer{eng: eng, clk: clk, h: h, kind: kind}
 }
@@ -498,11 +465,7 @@ func (t *Timer) tick(gen uint64) {
 		return
 	}
 	t.armed = false
-	if t.fn != nil {
-		t.fn()
-	} else {
-		t.h.HandleEvent(t.kind, 0)
-	}
+	t.h.HandleEvent(t.kind, 0)
 }
 
 // Cancel disarms the timer. Safe to call when unarmed. The pending engine

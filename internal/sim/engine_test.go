@@ -107,7 +107,7 @@ func TestEngineStop(t *testing.T) {
 func TestTimerFire(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	tm := NewTimer(e, func() { fired++ })
+	tm := NewHandlerTimer(e, nil, handlerFunc(func(uint8, uint64) { fired++ }), 0)
 	tm.Arm(100)
 	if !tm.Armed() {
 		t.Fatal("timer should be armed")
@@ -124,7 +124,7 @@ func TestTimerFire(t *testing.T) {
 func TestTimerCancel(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	tm := NewTimer(e, func() { fired++ })
+	tm := NewHandlerTimer(e, nil, handlerFunc(func(uint8, uint64) { fired++ }), 0)
 	tm.Arm(100)
 	tm.Cancel()
 	e.Run()
@@ -136,7 +136,7 @@ func TestTimerCancel(t *testing.T) {
 func TestTimerRearmReplacesSchedule(t *testing.T) {
 	e := NewEngine()
 	var fireTimes []Time
-	tm := NewTimer(e, func() { fireTimes = append(fireTimes, e.Now()) })
+	tm := NewHandlerTimer(e, nil, handlerFunc(func(uint8, uint64) { fireTimes = append(fireTimes, e.Now()) }), 0)
 	tm.Arm(100)
 	tm.Arm(50) // replaces the first schedule
 	e.Run()
@@ -149,12 +149,12 @@ func TestTimerRearmFromCallback(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	var tm *Timer
-	tm = NewTimer(e, func() {
+	tm = NewHandlerTimer(e, nil, handlerFunc(func(uint8, uint64) {
 		count++
 		if count < 5 {
 			tm.Arm(10)
 		}
-	})
+	}), 0)
 	tm.Arm(10)
 	e.Run()
 	if count != 5 {
@@ -252,7 +252,7 @@ func BenchmarkEngineHeapChurn(b *testing.B) {
 // transports hit on every packet.
 func BenchmarkTimerRearm(b *testing.B) {
 	e := NewEngine()
-	tm := NewTimer(e, func() {})
+	tm := NewHandlerTimer(e, nil, handlerFunc(func(uint8, uint64) {}), 0)
 	for i := 0; i < b.N; i++ {
 		tm.Arm(Duration(1000000 + i))
 	}

@@ -30,25 +30,6 @@ import (
 // boundary occurrences at serialization *start* (see fabric.NewPartitioned
 // for the full argument).
 //
-// On top of the fixed-width window the coordinator layers an adaptive
-// extension: the shard holding the global minimum event time may run past
-// T + lookahead, up to secondMin + lookahead, where secondMin is the
-// earliest pending event on any *other* shard — every other shard
-// executes at g >= secondMin, so nothing it produces lands before
-// secondMin + lookahead — and when no other shard holds any pending
-// event at all, the minimum shard may run clear to the deadline. The one
-// input that bound does not cover is the widened shard's own output
-// bouncing back: a cross-shard occurrence it pushes with arrival time d
-// can provoke a response due as early as d plus the minimum cross-shard
-// latency, which a window stretching far past d would overrun. Producers
-// close that hole themselves: every cross-engine push clamps the pushing
-// engine's current window to d + slack via Engine.LimitWindow (see
-// fabric's boundary channels), so a widened window survives exactly as
-// long as the shard stays cross-shard silent. In sparse phases
-// (endurance soaks, fault blackouts, flow-arrival tails) that collapses
-// long runs of near-empty fixed windows into one barrier, while under
-// dense boundary traffic windows self-clamp back to safety.
-//
 // Determinism does not depend on the window boundaries at all: events
 // carry the canonical (at, rank) key, ranks are drawn by the producing
 // node's Clock (whose sequence is a pure function of that node's
@@ -80,61 +61,26 @@ type WindowConfig struct {
 	// and their dirty lists). It runs on the coordinating goroutine; the
 	// barrier orders it against all shard execution.
 	Drain func()
-	// Done, when non-nil, is polled at each barrier; returning true ends
-	// the run. This replaces Engine.Stop for windowed runs: a stop
-	// condition raised mid-window takes effect at a barrier, never
-	// mid-window.
-	Done func() bool
-	// Horizon, when non-nil, is consulted once — at the first barrier
-	// where Done reports true — and clamps the remaining run to
-	// min(Deadline, Horizon()): the run continues through the window
+	// Done, when non-nil, is polled at each barrier. Once it reports ok
+	// it is not polled again, and the remaining run is clamped to
+	// min(Deadline, horizon): the run continues through the window
 	// protocol until that final deadline and every engine's clock lands
-	// exactly on it. This makes the executed event set, and every
-	// engine's final Now, a pure function of simulation state —
-	// independent of the shard count AND of the lookahead width (a wider
-	// lookahead reaches Done in a different window, but the clamped
-	// deadline is the same). Callers derive the horizon from the done
-	// condition itself, e.g. "time the last flow completed plus the
-	// maximum window width ever usable" (fabric.Network.WindowSlack).
-	//
-	// When nil, Done ends the run at its barrier immediately; engines
-	// are aligned to the maximum shard clock so they at least agree,
-	// but the stopping window — and thus the trailing executed-event set
-	// — depends on the configured lookahead.
-	Horizon func() Time
-	// Widen gates the adaptive extension while a Done condition is armed
-	// but not yet seen. Done is only polled at barriers, so letting the
-	// minimum shard run far past the global safe window could carry it
-	// beyond the instant Done first becomes true — executing events the
-	// canonical (fixed-window) run would clamp away. Widen(shard) grants
-	// the extension anyway; a hook that returns true must arrange for
-	// that shard to stop itself (Engine.Stop) no later than the moment
-	// the done condition turns true on it, which pins the executed-event
-	// set back to the canonical horizon:
-	//
-	//   - If the last contribution to the done condition lands on the
-	//     widened shard, the armed self-stop halts it there, the next
-	//     barrier sees Done, and the Horizon clamp takes over.
-	//   - If it lands on any other shard, that shard executed at or
-	//     after secondMin, so the horizon is at least secondMin plus the
-	//     window slack — past everything the widened window could run —
-	//     and a stale self-stop either never fires or fires early, which
-	//     only costs an extra barrier (pending events keep their turn).
-	//
-	// The hook runs on the coordinating goroutine at a barrier, so it
-	// may read shard-owned completion counters freely. Nil (or Done nil
-	// having never armed) means: extend freely once Done has been seen —
-	// the deadline is already clamped — and never before.
-	Widen func(shard int) bool
-	// FixedWindows disables the adaptive extension entirely, restoring
-	// fixed lookahead-width windows. Results are bit-identical either
-	// way (the executed-event set is window-independent); the knob
-	// exists for barrier-count comparisons and as an escape hatch.
-	FixedWindows bool
+	// exactly on it. This replaces Engine.Stop for windowed runs — a stop
+	// condition raised mid-window takes effect at a barrier, never
+	// mid-window — and makes the executed event set, and every engine's
+	// final Now, a pure function of simulation state: independent of the
+	// shard count AND of the lookahead width (a wider lookahead reaches
+	// the done condition in a different window, but the horizon is the
+	// same). Callers derive the horizon from the done condition itself,
+	// e.g. "time the last flow completed plus the maximum window width
+	// ever usable" (fabric.Network.WindowSlack). The hook runs on the
+	// coordinating goroutine at a barrier, so it may read shard-owned
+	// counters freely.
+	Done func() (horizon Time, ok bool)
 	// Stats, when non-nil, is reset and filled with runtime counters for
-	// this run: barrier rounds, widened windows, and per-shard work and
-	// wait tallies. The wall-clock wait figures are nondeterministic;
-	// everything else is a pure function of the run.
+	// this run: barrier rounds and per-shard work and wait tallies. The
+	// wall-clock wait figures are nondeterministic; everything else is a
+	// pure function of the run.
 	Stats *WindowStats
 }
 
@@ -145,9 +91,6 @@ type WindowStats struct {
 	// shard received a window. Fewer barriers for the same event count
 	// means less synchronization overhead.
 	Barriers uint64
-	// WideWindows counts rounds where the adaptive extension actually
-	// widened the minimum shard's window past the global safe width.
-	WideWindows uint64
 	// Shards holds per-shard tallies, indexed by shard.
 	Shards []ShardWindowStats
 }
@@ -217,18 +160,9 @@ func windowEnd(t Time, lookahead Duration, deadline Time) Time {
 		w = t + 1 // zero lookahead: single-timestep window
 	}
 	if w > deadline {
-		return deadlineEnd(deadline)
+		return deadline + 1 // cannot wrap: deadline < w <= MaxTime
 	}
 	return w
-}
-
-// deadlineEnd is the window end that carries a shard through the deadline
-// itself: deadline+1, except at MaxTime where the increment would wrap.
-func deadlineEnd(deadline Time) Time {
-	if deadline == MaxTime {
-		return MaxTime
-	}
-	return deadline + 1
 }
 
 // windowBarrier is the shard rendezvous: an epoch/generation barrier over
@@ -371,17 +305,18 @@ func (b *windowBarrier) close() {
 }
 
 // RunWindows executes a group of shard engines to completion under the
-// conservative window protocol. It returns true when the run ended via
-// the Done hook, false when the event population drained or the deadline
-// cut it short; on every exit path the engines' clocks agree (the final
-// deadline, or the maximum shard clock on the legacy nil-Horizon Done
-// path).
+// conservative window protocol. It returns true when the Done hook fired,
+// false when the event population drained or the deadline cut the run
+// short first; on every exit path every engine's clock lands on the final
+// deadline.
 //
-// Coordination is an epoch barrier (see windowBarrier) — one broadcast
-// out, one wake back per round, no spinning — so the runner is correct
-// (if not parallel) at GOMAXPROCS=1 and under the race detector. A window
-// is dispatched only to shards whose next pending event falls inside it;
-// idle shards wake, see the zero sentinel, and report straight back.
+// Every window is [T, T+lookahead), with T the global minimum pending
+// event time. Coordination is an epoch barrier (see windowBarrier) — one
+// broadcast out, one wake back per round, no spinning — so the runner is
+// correct (if not parallel) at GOMAXPROCS=1 and under the race detector.
+// A window is dispatched only to shards whose next pending event falls
+// inside it; idle shards wake, see the zero sentinel, and report straight
+// back.
 func RunWindows(cfg WindowConfig) bool {
 	n := len(cfg.Engines)
 	if n == 0 {
@@ -415,48 +350,23 @@ func RunWindows(cfg WindowConfig) bool {
 		if cfg.Drain != nil {
 			cfg.Drain()
 		}
-		if !doneSeen && cfg.Done != nil && cfg.Done() {
-			doneSeen = true
-			if cfg.Horizon == nil {
-				// Legacy immediate stop: align every clock to the
-				// furthest shard so Now() agrees across the group.
-				var m Time
-				for _, e := range cfg.Engines {
-					if e.Now() > m {
-						m = e.Now()
-					}
+		if !doneSeen && cfg.Done != nil {
+			if h, ok := cfg.Done(); ok {
+				doneSeen = true
+				if h < cfg.Deadline {
+					cfg.Deadline = h
 				}
-				for _, e := range cfg.Engines {
-					e.AdvanceTo(m)
-				}
-				return true
-			}
-			if h := cfg.Horizon(); h < cfg.Deadline {
-				cfg.Deadline = h
 			}
 		}
-		// One scan finds the global minimum event time t, the shard m
-		// holding it, and the minimum over the *other* shards (the
-		// adaptive extension's bound). An idle shard's cached next-event
-		// time makes this O(1) per shard.
+		// The global minimum event time. An idle shard's cached
+		// next-event time makes this O(1) per shard.
 		var (
-			t, second        Time
-			have, haveSecond bool
-			m                int
+			t    Time
+			have bool
 		)
-		for i, e := range cfg.Engines {
-			at, ok := e.NextEventTime()
-			if !ok {
-				continue
-			}
-			switch {
-			case !have || at < t:
-				if have && (!haveSecond || t < second) {
-					second, haveSecond = t, true // old minimum demotes
-				}
-				t, have, m = at, true, i
-			case !haveSecond || at < second:
-				second, haveSecond = at, true
+		for _, e := range cfg.Engines {
+			if at, ok := e.NextEventTime(); ok && (!have || at < t) {
+				t, have = at, true
 			}
 		}
 		if !have || t > cfg.Deadline {
@@ -477,45 +387,12 @@ func RunWindows(cfg WindowConfig) bool {
 			continue
 		}
 		w := windowEnd(t, cfg.Lookahead, cfg.Deadline)
-		// Adaptive extension for the minimum shard. Safe unconditionally
-		// when no Done condition is pending (the deadline alone bounds
-		// the run, and nothing another shard executes this round lands
-		// before second + lookahead); while Done is armed, only a Widen
-		// hook that pins the stop point may grant it — see Widen.
-		//
-		// Single-engine groups never extend: the lookahead argument only
-		// covers events crossing *between* engines, and a lone engine's
-		// Drain hook may legitimately feed events back into itself one
-		// lookahead out (windowed serial execution), which a deadline-wide
-		// window would overrun. There is no barrier concurrency to save
-		// there anyway.
-		wm := w
-		if n > 1 && !cfg.FixedWindows && (!haveSecond || second > t) &&
-			(cfg.Done == nil || doneSeen || (cfg.Widen != nil && cfg.Widen(m))) {
-			wm = deadlineEnd(cfg.Deadline)
-			if haveSecond && second < cfg.Deadline {
-				wm = windowEnd(second, cfg.Lookahead, cfg.Deadline)
-			}
-		}
 		if stats != nil {
 			stats.Barriers++
-			if wm > w {
-				stats.WideWindows++
-			}
 		}
-		// Dispatch only to shards with work inside the window; the
-		// minimum shard m (which always qualifies) gets the extended end.
-		for i, e := range cfg.Engines {
-			ends[i] = 0
-			if at, ok := e.NextEventTime(); !ok || at >= w {
-				continue
-			}
-			ends[i] = w
-		}
-		ends[m] = wm
 		if n == 1 {
 			before := cfg.Engines[0].Executed()
-			ack := runWindowRecover(cfg.Engines[0], 0, ends[0])
+			ack := runWindowRecover(cfg.Engines[0], 0, w)
 			if stats != nil {
 				stats.Shards[0].Windows++
 				stats.Shards[0].Events += cfg.Engines[0].Executed() - before
@@ -524,6 +401,13 @@ func RunWindows(cfg WindowConfig) bool {
 				panic(ShardPanic{Shard: 0, Value: ack.panicVal, Stack: string(ack.stack)})
 			}
 			continue
+		}
+		// Dispatch only to shards with work inside the window.
+		for i, e := range cfg.Engines {
+			ends[i] = 0
+			if at, ok := e.NextEventTime(); ok && at < w {
+				ends[i] = w
+			}
 		}
 		b.round(cfg.Engines[0], ends)
 	}

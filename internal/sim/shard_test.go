@@ -48,18 +48,13 @@ func TestRunWindowsTwoShards(t *testing.T) {
 		var inbox0, inbox1 []xev // inboxN feeds node N
 
 		// Each node's handler records the event and volleys back to the
-		// peer, one lookahead out, under its own clock. Like fabric's
-		// boundary channels, every cross-engine push clamps the producing
-		// engine's window to the arrival time plus the minimum crossing
-		// latency — the producer-side guarantee that makes adaptively
-		// widened windows safe against the volley bouncing back.
+		// peer, one lookahead out, under its own clock.
 		var ping, pong Handler
 		ping = handlerFunc(func(_ uint8, arg uint64) { // node 0
 			got[0] = append(got[0], arg)
 			if arg < 40 {
 				at := e0.Now() + lookahead
 				inbox1 = append(inbox1, xev{at, clk0.Next(), arg + 1})
-				e0.LimitWindow(at + lookahead)
 			}
 		})
 		pong = handlerFunc(func(_ uint8, arg uint64) { // node 1
@@ -67,7 +62,6 @@ func TestRunWindowsTwoShards(t *testing.T) {
 			if arg < 40 {
 				at := e1.Now() + lookahead
 				inbox0 = append(inbox0, xev{at, clk1.Next(), arg + 1})
-				e1.LimitWindow(at + lookahead)
 			}
 		})
 
@@ -150,8 +144,8 @@ func TestRunWindowsDeadline(t *testing.T) {
 }
 
 // TestRunWindowsDoneAtBarrier: Done is evaluated at barriers only, so
-// every event of the window that satisfied it still executes — the
-// property that makes the executed-event set shard-count-invariant.
+// every event of the window that satisfied it still executes — even one
+// past the horizon Done reports — while nothing after that window does.
 func TestRunWindowsDoneAtBarrier(t *testing.T) {
 	e := NewEngine()
 	var got []uint64
@@ -165,7 +159,7 @@ func TestRunWindowsDoneAtBarrier(t *testing.T) {
 		Engines:   []*Engine{e},
 		Lookahead: 50,
 		Deadline:  1 << 20,
-		Done:      func() bool { return done },
+		Done:      func() (Time, bool) { return 10, done },
 	})
 	if !stopped {
 		t.Fatal("Done stop not reported")
@@ -203,46 +197,9 @@ func TestRunWindowsMaxDeadline(t *testing.T) {
 	}
 }
 
-// TestRunWindowsDoneClockAlignment: on the nil-Horizon Done exit path,
-// every engine's clock must agree. Before the fix, only the drained and
-// deadline paths called AdvanceTo, so a shard that executed nothing in
-// the final window reported a stale Now.
-func TestRunWindowsDoneClockAlignment(t *testing.T) {
-	a, b := NewEngine(), NewEngine()
-	// Events 1 and 2 land in the same first window on different shard
-	// goroutines, so the record is mutex-guarded (only the clocks are
-	// asserted — cross-shard execution order within a window is free).
-	var mu sync.Mutex
-	var done bool
-	record := handlerFunc(func(uint8, uint64) {})
-	fire := handlerFunc(func(uint8, uint64) {
-		mu.Lock()
-		done = true
-		mu.Unlock()
-	})
-	a.ScheduleEvent(40, fire, 0, 1)
-	b.ScheduleEvent(5, record, 0, 2)      // b's clock would otherwise stall at 5
-	b.ScheduleEvent(90_000, record, 0, 3) // never runs
-	stopped := RunWindows(WindowConfig{
-		Engines:   []*Engine{a, b},
-		Lookahead: 50,
-		Deadline:  1 << 20,
-		Done:      func() bool { return done },
-	})
-	if !stopped {
-		t.Fatal("Done stop not reported")
-	}
-	if a.Now() != b.Now() {
-		t.Fatalf("clocks disagree on the Done path: %d vs %d", a.Now(), b.Now())
-	}
-	if a.Now() != 40 {
-		t.Fatalf("clocks at %d, want the max shard clock 40", a.Now())
-	}
-}
-
-// TestRunWindowsHorizon: with a Horizon hook, a Done stop clamps the
-// deadline instead of returning immediately — the run continues through
-// the window protocol to min(Deadline, Horizon()), executes everything
+// TestRunWindowsHorizon: a Done stop clamps the deadline instead of
+// returning immediately — the run continues through the window protocol
+// to min(Deadline, horizon), executes everything
 // due by then (regardless of which window Done happened to surface in),
 // and lands every clock exactly on the final deadline. This is what
 // makes the executed-event set invariant across lookahead widths, for
@@ -253,7 +210,7 @@ func TestRunWindowsDoneClockAlignment(t *testing.T) {
 func TestRunWindowsHorizon(t *testing.T) {
 	for _, lookahead := range []Duration{3, 50, 110} {
 		a, b := NewEngine(), NewEngine()
-		// Wide windows run both engines' events concurrently, so the
+		// Windows run both engines' events concurrently, so the
 		// record is mutex-guarded and compared as a set: the invariant
 		// is about WHICH events execute, not cross-shard append order.
 		var mu sync.Mutex
@@ -277,8 +234,7 @@ func TestRunWindowsHorizon(t *testing.T) {
 			Engines:   []*Engine{a, b},
 			Lookahead: lookahead,
 			Deadline:  1 << 20,
-			Done:      func() bool { return done },
-			Horizon:   func() Time { return 150 },
+			Done:      func() (Time, bool) { return 150, done },
 		})
 		if !stopped {
 			t.Fatalf("lookahead %d: Done stop not reported", lookahead)
@@ -472,155 +428,4 @@ func FuzzShardMerge(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestRunWindowsAdaptiveCollapsesBarriers: a sparse workload — one shard
-// holding events spaced ten lookaheads apart, the other idle until the
-// end — must run in a handful of adaptively widened windows where fixed
-// windows pay a barrier per gap. The executed work must be identical, and
-// the stats must account for every event.
-func TestRunWindowsAdaptiveCollapsesBarriers(t *testing.T) {
-	const lookahead = 100
-	run := func(fixed bool) (WindowStats, []uint64) {
-		a, b := NewEngine(), NewEngine()
-		var mu sync.Mutex
-		var got []uint64
-		record := handlerFunc(func(_ uint8, arg uint64) {
-			mu.Lock()
-			got = append(got, arg)
-			mu.Unlock()
-		})
-		for i := 0; i <= 10; i++ {
-			a.ScheduleEvent(Time(i)*10*lookahead, record, 0, uint64(i))
-		}
-		b.ScheduleEvent(100*lookahead, record, 0, 99)
-		var stats WindowStats
-		RunWindows(WindowConfig{
-			Engines:      []*Engine{a, b},
-			Lookahead:    lookahead,
-			Deadline:     1 << 30,
-			FixedWindows: fixed,
-			Stats:        &stats,
-		})
-		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-		return stats, got
-	}
-
-	fixedStats, fixedGot := run(true)
-	adaptStats, adaptGot := run(false)
-
-	if len(fixedGot) != 12 || len(adaptGot) != 12 {
-		t.Fatalf("executed %d fixed / %d adaptive events, want 12 each", len(fixedGot), len(adaptGot))
-	}
-	for i := range fixedGot {
-		if fixedGot[i] != adaptGot[i] {
-			t.Fatalf("executed sets diverge at %d: fixed %d, adaptive %d", i, fixedGot[i], adaptGot[i])
-		}
-	}
-	// Fixed windows pay one barrier per spaced-out event; the adaptive
-	// run must collapse the gaps (shard a's whole series fits in one
-	// widened window bounded by shard b's event, plus the joint tail).
-	if fixedStats.Barriers < 11 {
-		t.Fatalf("fixed run took %d barriers, expected at least one per gap (11)", fixedStats.Barriers)
-	}
-	if adaptStats.Barriers*2 >= fixedStats.Barriers {
-		t.Fatalf("adaptive run took %d barriers vs fixed %d — no meaningful collapse",
-			adaptStats.Barriers, fixedStats.Barriers)
-	}
-	if adaptStats.WideWindows == 0 {
-		t.Fatal("adaptive run reports zero widened windows")
-	}
-	if fixedStats.WideWindows != 0 {
-		t.Fatalf("fixed run reports %d widened windows, want 0", fixedStats.WideWindows)
-	}
-	for _, st := range [2]WindowStats{fixedStats, adaptStats} {
-		var ev, win uint64
-		for _, sh := range st.Shards {
-			ev += sh.Events
-			win += sh.Windows
-		}
-		if ev != 12 {
-			t.Fatalf("per-shard stats account for %d events, want 12", ev)
-		}
-		if win == 0 || win > 2*st.Barriers {
-			t.Fatalf("windows run (%d) inconsistent with %d barriers on 2 shards", win, st.Barriers)
-		}
-	}
-}
-
-// TestRunWindowsWidenSelfStop: while a Done condition is armed, the
-// extension is only granted through the Widen hook, and a hook that arms
-// a self-stop at the done event keeps the executed set identical to the
-// fixed-window run — the trailing event past the horizon must not leak
-// in even though the widened window formally covered it.
-func TestRunWindowsWidenSelfStop(t *testing.T) {
-	const lookahead = 50
-	run := func(fixed bool, widen func(int) bool, armed *bool) (bool, []uint64, Time) {
-		a, b := NewEngine(), NewEngine()
-		var mu sync.Mutex
-		var got []uint64
-		done := false
-		finish := handlerFunc(func(_ uint8, arg uint64) {
-			mu.Lock()
-			got = append(got, arg)
-			done = true
-			mu.Unlock()
-			if armed != nil && *armed {
-				a.Stop()
-			}
-		})
-		record := handlerFunc(func(_ uint8, arg uint64) {
-			mu.Lock()
-			got = append(got, arg)
-			mu.Unlock()
-		})
-		a.ScheduleEvent(5, finish, 0, 1)
-		a.ScheduleEvent(1000, record, 0, 2) // past the horizon: must never run
-		b.ScheduleEvent(2000, record, 0, 3) // the second-minimum bound
-		stopped := RunWindows(WindowConfig{
-			Engines:      []*Engine{a, b},
-			Lookahead:    lookahead,
-			Deadline:     1 << 20,
-			Done:         func() bool { return done },
-			Horizon:      func() Time { return 5 + lookahead },
-			Widen:        widen,
-			FixedWindows: fixed,
-		})
-		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-		return stopped, got, a.Now()
-	}
-
-	check := func(name string, stopped bool, got []uint64, now Time) {
-		t.Helper()
-		if !stopped {
-			t.Fatalf("%s: Done stop not reported", name)
-		}
-		if len(got) != 1 || got[0] != 1 {
-			t.Fatalf("%s: executed %v, want just the done event [1]", name, got)
-		}
-		if now != 5+lookahead {
-			t.Fatalf("%s: clock at %d, want horizon %d", name, now, 5+lookahead)
-		}
-	}
-
-	stopped, got, now := run(true, nil, nil)
-	check("fixed", stopped, got, now)
-
-	// Adaptive without a Widen hook: no extension while Done is armed —
-	// identical outcome.
-	stopped, got, now = run(false, nil, nil)
-	check("adaptive/no-hook", stopped, got, now)
-
-	// Adaptive with a granting hook that arms the self-stop.
-	armed := false
-	widenCalls := 0
-	stopped, got, now = run(false, func(shard int) bool {
-		widenCalls++
-		armed = true
-		return true
-	}, &armed)
-	check("adaptive/widen", stopped, got, now)
-	if widenCalls == 0 {
-		t.Fatal("Widen hook was never consulted")
-	}
 }

@@ -156,7 +156,7 @@ func TestEngineResetReusable(t *testing.T) {
 		e.ScheduleEvent(40, h, 0, 0)
 		e.Schedule(10, func() { order = append(order, 1) })
 		e.Schedule(10, func() { order = append(order, 2) })
-		tm := NewTimer(e, func() { order = append(order, 3) })
+		tm := NewHandlerTimer(e, nil, handlerFunc(func(uint8, uint64) { order = append(order, 3) }), 0)
 		tm.Arm(25)
 		e.Run()
 		return order, e.Now(), e.Executed()
@@ -170,7 +170,7 @@ func TestEngineResetReusable(t *testing.T) {
 	// clock, arm a timer that never fires.
 	reused.Schedule(5, func() { reused.Stop() })
 	reused.Schedule(90, func() {})
-	lost := NewTimer(reused, func() { t.Error("stale timer fired after Reset") })
+	lost := NewHandlerTimer(reused, nil, handlerFunc(func(uint8, uint64) { t.Error("stale timer fired after Reset") }), 0)
 	lost.Arm(70)
 	reused.Run()
 	reused.Reset()
@@ -199,7 +199,7 @@ func TestEngineResetReusable(t *testing.T) {
 func TestTimerResetUnblocksArm(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	tm := NewTimer(e, func() { fired++ })
+	tm := NewHandlerTimer(e, nil, handlerFunc(func(uint8, uint64) { fired++ }), 0)
 	tm.Arm(100)
 	e.RunUntil(50) // timer event still pending in the queue
 	e.Reset()
