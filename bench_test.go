@@ -28,13 +28,26 @@ import (
 )
 
 // benchExperiment runs one experiment preset per benchmark iteration and
-// reports the named result metrics. Scenarios shard across the fleet
-// runner's GOMAXPROCS workers; results are bit-identical to a serial run.
+// reports the named result metrics, plus ns_per_event and events_per_sec:
+// the iteration's wall time over the simulator events its scenarios
+// executed (Σ Result.Events), so presets of different sizes compare.
+// Scenarios shard across the fleet runner's GOMAXPROCS workers; results
+// are bit-identical to a serial run.
 func benchExperiment(b *testing.B, e exp.Experiment, report func(b *testing.B, rs []exp.Result)) {
 	b.Helper()
 	var results []exp.Result
 	for i := 0; i < b.N; i++ {
 		results = exp.RunFleet(e, exp.FleetConfig{}).First()
+	}
+	elapsed := b.Elapsed()
+	var events uint64
+	for _, r := range results {
+		events += r.Events
+	}
+	if events > 0 {
+		total := float64(events) * float64(b.N)
+		b.ReportMetric(float64(elapsed.Nanoseconds())/total, "ns_per_event")
+		b.ReportMetric(total/elapsed.Seconds(), "events_per_sec")
 	}
 	b.Log("\n" + exp.Render(e, results))
 	if report != nil {

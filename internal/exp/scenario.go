@@ -385,8 +385,9 @@ func (w tcpStats) timeouts() uint64    { return w.s.Stats.Timeouts }
 // routing tables, VOQ matrices, port wiring — and the packet pool are
 // reused whenever the next scenario is structurally identical to the
 // previous one (same fabricKey) and rebuilt otherwise. Trials of one
-// scenario always share a key, so a trial sweep constructs its fat-tree
-// exactly once per worker.
+// scenario always share a key, and so do scenarios that differ only in
+// per-run fabric settings (PFC, ECN, buffers), so a trial sweep or a
+// RoCE+PFC/IRN pair constructs its fat-tree exactly once per worker.
 //
 // A Worker is single-threaded, like the engine it owns; the fleet runner
 // gives each of its goroutines a private Worker. Results are bit-identical
@@ -420,43 +421,18 @@ func (w *Worker) engines(n int) []*sim.Engine {
 	return w.engs[:n]
 }
 
-// fabricKey is the structural identity of a fabric: every input to its
-// construction except the seed and the fault model, which Network.Reset
-// re-applies per run. Two scenarios with equal keys run on identical
-// topologies and configs. (It mirrors fabric.Config field by field rather
-// than embedding it because Config's LossInject hook makes the struct
-// non-comparable; scenarios never set that hook.)
+// fabricKey is the structural identity of a fabric: the topology, the
+// partitioning and the config fields fabric.Network.Reset cannot change
+// (link rate, propagation delay, MTU). Every other config field — seed,
+// fault model, PFC and its thresholds, buffer size, ECN, spray, shared
+// buffer — is a per-run setting Reset adopts, so a RoCE+PFC/IRN pair and
+// a DCQCN variant of it all share one fabric.
 type fabricKey struct {
-	arity         int
-	shards        int
-	rate          fabric.Rate
-	prop          sim.Duration
-	bufferBytes   int
-	pfc           bool
-	pfcHeadroom   int
-	pfcHysteresis int
-	ecn           fabric.ECNConfig
-	mtu           int
-	spray         bool
-	sharedBuffer  bool
-}
-
-// keyOf extracts the structural identity of a scenario's fabric.
-func keyOf(arity, shards int, cfg fabric.Config) fabricKey {
-	return fabricKey{
-		arity:         arity,
-		shards:        shards,
-		rate:          cfg.Rate,
-		prop:          cfg.Prop,
-		bufferBytes:   cfg.BufferBytes,
-		pfc:           cfg.PFC,
-		pfcHeadroom:   cfg.PFCHeadroom,
-		pfcHysteresis: cfg.PFCHysteresis,
-		ecn:           cfg.ECN,
-		mtu:           cfg.MTU,
-		spray:         cfg.Spray,
-		sharedBuffer:  cfg.SharedBuffer,
-	}
+	arity  int
+	shards int
+	rate   fabric.Rate
+	prop   sim.Duration
+	mtu    int
 }
 
 // Run executes a scenario to completion (all flows finished or grace
@@ -514,36 +490,34 @@ func (w *Worker) Run(s Scenario) Result {
 
 	// Zero-rebuild path: reset the shard engines unconditionally (fault
 	// scheduling below needs clean queues); reset the cached fabric under
-	// the new seed and fault model when the structure matches, rebuild it
-	// otherwise. The requested shard count is part of the structure: a
-	// different partitioning is a different port/channel wiring.
-	shards := s.Shards
-	key := keyOf(s.Arity, shards, cfg)
-	if !w.built || w.key != key {
+	// the new config when the structure matches, rebuild it otherwise.
+	// The requested shard count is part of the structure: a different
+	// partitioning is a different port/channel wiring.
+	key := fabricKey{arity: s.Arity, shards: s.Shards, rate: rate, prop: s.Prop, mtu: s.MTU}
+	reuse := w.built && w.key == key
+	if !reuse {
 		w.top = topo.NewFatTree(s.Arity)
 	}
-	var faults *fault.Model
 	if s.Faults.Enabled() {
 		m, err := fault.New(s.Faults, len(w.top.Links()), s.Seed)
 		if err != nil {
 			panic(fmt.Sprintf("exp: scenario %q: %v", s.Name, err))
 		}
-		faults = m
+		cfg.Faults = m
 	}
 	var net *fabric.Network
-	if w.built && w.key == key {
+	if reuse {
 		for _, e := range w.engs[:w.used] {
 			e.Reset()
 		}
 		net = w.net
-		net.Reset(s.Seed, faults)
+		net.Reset(cfg)
 	} else {
-		assign, used := topo.PartitionNodes(w.top, shards)
+		assign, used := topo.PartitionNodes(w.top, s.Shards)
 		engs := w.engines(used)
 		for _, e := range engs {
 			e.Reset()
 		}
-		cfg.Faults = faults
 		net = fabric.NewPartitioned(engs, assign, w.top, cfg)
 		w.net, w.key, w.used, w.built = net, key, used, true
 		w.rebuilds++

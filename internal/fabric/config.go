@@ -21,10 +21,16 @@ type ECNConfig struct {
 // 40 Gbps links, 2 µs propagation delay, per-port buffers of twice the
 // 120 KB longest-path BDP, and a PFC threshold leaving headroom for one
 // upstream-link BDP.
+//
+// Rate, Prop and MTU are structural: ports and the shard lookahead are
+// built from Rate and Prop, MTU is the packet geometry that goes with
+// them, and Network.Reset refuses to change any of the three. Every other
+// field is a per-run setting, read from Network.Cfg per packet, which
+// Reset adopts for the next run on the same fabric.
 type Config struct {
-	// Rate is the link rate for every link in the fabric.
+	// Rate is the link rate for every link in the fabric (structural).
 	Rate Rate
-	// Prop is the per-link propagation delay.
+	// Prop is the per-link propagation delay (structural).
 	Prop sim.Duration
 	// BufferBytes is the per-input-port buffer at switches.
 	BufferBytes int
@@ -40,7 +46,7 @@ type Config struct {
 	PFCHysteresis int
 	// ECN configures marking.
 	ECN ECNConfig
-	// MTU is the data payload size per packet.
+	// MTU is the data payload size per packet (structural).
 	MTU int
 	// Seed drives ECN marking randomness.
 	Seed uint64

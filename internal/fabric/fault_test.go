@@ -10,7 +10,8 @@ import (
 	"github.com/irnsim/irn/internal/transport"
 )
 
-// checkCensus asserts packet conservation and pool accounting after a run.
+// checkCensus asserts packet conservation and pool accounting after a run
+// (on a fresh or a reset fabric: pool liveness counts from the last reset).
 func checkCensus(t *testing.T, net *Network) {
 	t.Helper()
 	cv := net.Census()
@@ -20,7 +21,7 @@ func checkCensus(t *testing.T, net *Network) {
 		t.Errorf("census: injected %d != exits %d + in-flight %d (%+v)",
 			c.Injected, c.Exits(), inFlight, *c)
 	}
-	live := net.Pool().Allocs - uint64(net.Pool().FreeLen())
+	live := uint64(net.PoolLive())
 	want := inFlight + uint64(net.CtrlBacklog())
 	if live != want {
 		t.Errorf("pool: %d live packets, want %d (in-flight + ctrl backlog)", live, want)

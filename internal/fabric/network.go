@@ -188,7 +188,8 @@ func minWire() int {
 // serialization (fault.Degrade validates Factor in (0,1]), so the
 // base-rate bound stays a lower bound under any fault schedule — the
 // lookahead is seed- and fault-independent, which is why Reset never
-// recomputes it.
+// recomputes it (Rate and Prop are structural: Reset refuses to change
+// them).
 //
 // PFC frames are no exception: pause/resume frames are fixed-size
 // control frames whose serialization (sendPFC folds it into the arrival
@@ -339,26 +340,48 @@ func (net *Network) wire(from packet.NodeID, out int, to packet.NodeID, in int, 
 }
 
 // Reset returns the fabric to its just-built state for a new run on the
-// same engines and topology, under a new seed and fault model: every
-// port, switch and NIC resets, stats and census zero, the per-switch ECN
-// RNG streams reseed, boundary channels empty, and the fault schedule is
-// re-queued as typed events — exactly the sequence NewPartitioned
-// performs, so a reset run is bit-identical to a freshly constructed one.
-// The caller must Engine.Reset() every shard engine first (Reset
-// schedules fault events on clean queues). The packet pools keep their
-// free lists warm across runs; only their counters restart.
+// same engines and topology, under cfg: every port, switch and NIC
+// resets, stats and census zero, VOQ rings release their storage, the
+// per-switch ECN RNG streams reseed, boundary channels empty, and the
+// fault schedule is re-queued as typed events — exactly the sequence
+// NewPartitioned performs, so a reset run is bit-identical to a freshly
+// constructed one. The caller must Engine.Reset() every shard engine
+// first (Reset schedules fault events on clean queues). The packet pools
+// keep their free lists warm across runs; only their counters restart.
+// On a sharded fabric Reset first balances the free lists across the
+// partitions (packet.Balance): packets die in the pool of the shard that
+// receives them, so without it a receiving shard's free list would grow
+// every run while a sending shard heap-allocates afresh.
+//
+// cfg must match the build in its structural fields (Rate, Prop, MTU —
+// see Config); Reset panics otherwise. Every other field — Seed, Faults,
+// PFC and its thresholds, BufferBytes, ECN, Spray, SharedBuffer — is read
+// per packet from net.Cfg, so adopting cfg is all it takes to run under
+// it.
 //
 // This is the zero-rebuild trial path: the fleet runner reuses one
-// fabric per worker across the trials of a scenario instead of
+// fabric per worker across every scenario of one structure — the trials
+// of a sweep and the RoCE+PFC/IRN pairs of a figure alike — instead of
 // reconstructing topology, routing tables, VOQ matrices and port arrays
-// per trial.
-func (net *Network) Reset(seed uint64, faults *fault.Model) {
-	net.Cfg.Seed = seed
-	net.Cfg.Faults = faults
+// per run.
+func (net *Network) Reset(cfg Config) {
+	if cfg.Rate != net.Cfg.Rate || cfg.Prop != net.Cfg.Prop || cfg.MTU != net.Cfg.MTU {
+		panic(fmt.Sprintf("fabric: Reset cannot change structure (rate %v, prop %v, MTU %d built; got %v, %v, %d)",
+			net.Cfg.Rate, net.Cfg.Prop, net.Cfg.MTU, cfg.Rate, cfg.Prop, cfg.MTU))
+	}
+	if len(net.parts) > 1 && cfg.LossInject != nil {
+		panic("fabric: the LossInject hook requires a single-shard fabric")
+	}
+	net.Cfg = cfg
 	for i := range net.clks {
 		net.clks[i].Reset()
 	}
 	net.envClk.Reset()
+	pools := make([]*packet.Pool, len(net.parts))
+	for i, p := range net.parts {
+		pools[i] = p.pool
+	}
+	packet.Balance(pools)
 	for _, p := range net.parts {
 		p.pool.ResetStats()
 		p.stats = Stats{}
@@ -376,8 +399,8 @@ func (net *Network) Reset(seed uint64, faults *fault.Model) {
 		p.dirty = p.dirty[:0]
 	}
 	for i, l := 0, len(net.ports)/2; i < l; i++ {
-		net.ports[2*i].flt = faults.Dir(i, false)
-		net.ports[2*i+1].flt = faults.Dir(i, true)
+		net.ports[2*i].flt = cfg.Faults.Dir(i, false)
+		net.ports[2*i+1].flt = cfg.Faults.Dir(i, true)
 		// Boundary channels resolve consumer-side faults from the same
 		// per-direction state.
 		if x := net.ports[2*i].xchan; x != nil {
@@ -394,9 +417,9 @@ func (net *Network) Reset(seed uint64, faults *fault.Model) {
 	}
 	for _, sw := range net.switches {
 		sw.reset()
-		sw.rng = ecnRNG(seed, sw.id)
+		sw.rng = ecnRNG(cfg.Seed, sw.id)
 	}
-	net.scheduleFaults(faults)
+	net.scheduleFaults(cfg.Faults)
 }
 
 // ecnRNG seeds one switch's ECN marking stream. Per-switch streams (not

@@ -265,6 +265,47 @@ func (p *Pool) ResetStats() {
 	p.Allocs, p.Reuses, p.Releases = 0, 0, 0
 }
 
+// Balance deals the free packets of pools out evenly, the first
+// total%len(pools) pools taking one extra, by moving packets from the
+// tails of surplus free lists to the tails of short ones in pool order.
+// It is for the pools of one sharded fabric between runs: a packet is
+// released into the pool of the shard it dies on, so a shard that sends
+// more than it receives finds its free list empty every run and
+// heap-allocates, while its peer's free list grows by the difference —
+// without bound on a fabric reused run after run. Balanced, the pools'
+// total settles at what the most demanding run needs. Counters are
+// untouched (Live counts gets and releases, not free packets). Every pool
+// must be non-nil.
+func Balance(pools []*Pool) {
+	if len(pools) < 2 {
+		return
+	}
+	total := 0
+	for _, p := range pools {
+		total += len(p.free)
+	}
+	share := func(i int) int {
+		if i < total%len(pools) {
+			return total/len(pools) + 1
+		}
+		return total / len(pools)
+	}
+	to := 0
+	for from, p := range pools {
+		for len(p.free) > share(from) {
+			for len(pools[to].free) >= share(to) {
+				to++
+			}
+			q := pools[to]
+			n := min(len(p.free)-share(from), share(to)-len(q.free))
+			tail := p.free[len(p.free)-n:]
+			q.free = append(q.free, tail...)
+			clear(tail)
+			p.free = p.free[:len(p.free)-n]
+		}
+	}
+}
+
 // Live reports the packets currently checked out of the pool: every get
 // (fresh or reused) minus every release since the last ResetStats. For a
 // pool used by a single run from empty this equals Allocs - FreeLen();

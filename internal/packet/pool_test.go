@@ -96,3 +96,53 @@ func TestPoolAbsorbsForeignPackets(t *testing.T) {
 		t.Fatal("adopted packet not reused")
 	}
 }
+
+// TestBalanceDealsFreePacketsEvenly: Balance splits the pools' free
+// packets evenly, the first pools taking the remainder, moves every
+// packet exactly once, drops the references it moved out of a free list,
+// and leaves the counters alone.
+func TestBalanceDealsFreePacketsEvenly(t *testing.T) {
+	for _, tc := range []struct{ have, want []int }{
+		{[]int{7, 0, 2}, []int{3, 3, 3}},
+		{[]int{0, 5}, []int{3, 2}},
+		{[]int{5, 0}, []int{3, 2}},
+		{[]int{0, 0, 10, 1}, []int{3, 3, 3, 2}},
+		{[]int{4}, []int{4}},
+	} {
+		pools := make([]*Pool, len(tc.have))
+		seen := map[*Packet]bool{}
+		for i, n := range tc.have {
+			pools[i] = NewPool()
+			for j := 0; j < n; j++ {
+				pkt := &Packet{}
+				seen[pkt] = false
+				pools[i].Release(pkt)
+			}
+		}
+		Balance(pools)
+		for i, p := range pools {
+			if p.FreeLen() != tc.want[i] {
+				t.Errorf("%v: pool %d holds %d free packets after Balance, want %d", tc.have, i, p.FreeLen(), tc.want[i])
+			}
+			if p.Releases != uint64(tc.have[i]) || p.Live() != -tc.have[i] {
+				t.Errorf("%v: Balance changed pool %d's counters: releases %d live %d", tc.have, i, p.Releases, p.Live())
+			}
+			for _, pkt := range p.free {
+				if done, ok := seen[pkt]; !ok || done {
+					t.Fatalf("%v: pool %d holds a packet that is foreign or held twice", tc.have, i)
+				}
+				seen[pkt] = true
+			}
+			for _, pkt := range p.free[len(p.free):cap(p.free)] {
+				if pkt != nil {
+					t.Errorf("%v: pool %d keeps a reference to a packet it gave away", tc.have, i)
+				}
+			}
+		}
+		for _, done := range seen {
+			if !done {
+				t.Fatalf("%v: Balance lost a packet", tc.have)
+			}
+		}
+	}
+}
