@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"github.com/irnsim/irn/internal/packet"
@@ -43,6 +44,7 @@ type swOut struct {
 	sw     *Switch
 	port   outPort
 	voq    []pktQueue // per input port
+	busy   []uint64   // bit i set iff voq[i] is non-empty
 	rr     int
 	queued int // total bytes queued at this output (for ECN marking)
 }
@@ -90,8 +92,11 @@ func newRouteScratch(nodes int) *routeScratch {
 // the topology's ECMP order, are interned into sets.
 func (s *Switch) finalize(rs *routeScratch) {
 	n := len(s.neighbors)
-	for _, o := range s.out {
+	words := (n + 63) / 64
+	busy := make([]uint64, words*n) // one array for every output's bitmap
+	for i, o := range s.out {
 		o.voq = make([]pktQueue, n)
+		o.busy = busy[i*words : (i+1)*words : (i+1)*words]
 	}
 	for i, nb := range s.neighbors {
 		rs.portOf[nb] = int32(i)
@@ -143,6 +148,7 @@ func (s *Switch) reset() {
 		for i := range o.voq {
 			o.voq[i].reset()
 		}
+		clear(o.busy)
 		o.port.reset()
 	}
 	s.sprayCtr = 0
@@ -190,6 +196,7 @@ func (s *Switch) receive(pkt *packet.Packet, inIdx int) {
 	}
 
 	o.voq[inIdx].push(pkt)
+	o.busy[inIdx>>6] |= 1 << (inIdx & 63)
 	o.queued += pkt.Wire
 	s.in[inIdx].bytes += pkt.Wire
 	s.shared += pkt.Wire
@@ -245,27 +252,49 @@ func (s *Switch) pickOutput(pkt *packet.Packet) int {
 }
 
 // nextPacket is the output port's source callback: round-robin over the
-// input VOQs feeding this output.
+// input VOQs feeding this output, starting at rr.
 func (o *swOut) nextPacket() *packet.Packet {
-	n := len(o.voq)
-	idx := o.rr
-	if idx >= n {
-		idx = 0
+	idx := o.nextBusy()
+	if idx < 0 {
+		return nil
 	}
-	// Conditional wrap instead of modulo: this scan runs once per
-	// forwarded packet and port counts are not powers of two.
-	for i := 0; i < n; i++ {
-		if pkt := o.voq[idx].pop(); pkt != nil {
-			o.rr = idx + 1
-			o.queued -= pkt.Wire
-			o.sw.dequeued(idx, pkt)
-			return pkt
-		}
-		if idx++; idx == n {
-			idx = 0
+	q := &o.voq[idx]
+	pkt := q.pop()
+	if q.empty() {
+		o.busy[idx>>6] &^= 1 << (idx & 63)
+	}
+	o.rr = idx + 1
+	o.queued -= pkt.Wire
+	o.sw.dequeued(idx, pkt)
+	return pkt
+}
+
+// nextBusy returns the first non-empty VOQ at or after rr, wrapping, or
+// -1 if all are empty: the input a linear scan of the queues from rr
+// would pick, found in a few bitmap word reads instead of a pop attempt
+// on every empty queue in between.
+func (o *swOut) nextBusy() int {
+	start := o.rr
+	if start >= len(o.voq) {
+		start = 0
+	}
+	w := start >> 6
+	if m := o.busy[w] &^ (1<<(start&63) - 1); m != 0 {
+		return w<<6 | bits.TrailingZeros64(m)
+	}
+	// Past the start word, then wrapped; the wrapped visit of the start
+	// word itself can only find bits below start.
+	for i := w + 1; i < len(o.busy); i++ {
+		if m := o.busy[i]; m != 0 {
+			return i<<6 | bits.TrailingZeros64(m)
 		}
 	}
-	return nil
+	for i := 0; i <= w; i++ {
+		if m := o.busy[i]; m != 0 {
+			return i<<6 | bits.TrailingZeros64(m)
+		}
+	}
+	return -1
 }
 
 // dequeued updates input accounting after a packet leaves input inIdx's

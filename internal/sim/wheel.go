@@ -1,6 +1,9 @@
 package sim
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // The engine's event queue is a hierarchical timing wheel. A binary heap
 // pays O(log n) sift cost per push and pop against the whole pending
@@ -58,7 +61,7 @@ type timingWheel struct {
 
 	// ready[head:] is the execution frontier, sorted ascending by
 	// (at, rank): pop reads sequentially and a drained level-0 slot (whose
-	// handful of events share one tick) replaces it as one sorted batch.
+	// events share one tick) replaces it as one sorted batch.
 	// Consumed entries before head are not zeroed — the next drain
 	// overwrites them, and the handlers they pin outlive the engine's
 	// queue anyway (reset clears everything for the cross-run case).
@@ -91,6 +94,9 @@ type timingWheel struct {
 
 	// overflow holds events beyond the top level's window.
 	overflow eventHeap
+
+	// runs is drainSlot's run-boundary scratch, reused across drains.
+	runs []int
 }
 
 // tickOf maps an absolute time to its wheel tick.
@@ -281,14 +287,83 @@ func (w *timingWheel) drainCurSlot() {
 
 // drainSlot moves level-0 slot idx — the cursor's own tick — into ready
 // as one sorted batch. The frontier is empty here (refill only advances
-// when it is), so the batch replaces it wholesale. The slot keeps its
-// backing array, and a warmed-up wheel never allocates.
+// when it is), so the batch replaces it wholesale. The drained array goes
+// back to the spare pool, so a warmed-up wheel never allocates.
+//
+// Slots are large and nearly sorted: on the k=16 dc-hadoop fabric a
+// level-0 slot holds 27.6 events on average, 71% of events sit in slots
+// of more than 32, and those average 66 events but only ~3 ascending
+// (at, rank) runs: events mostly arrive in order, and a few clocks
+// interleave. So the batch is built by a natural merge sort: one
+// scan finds the runs, then bottom-up passes merge neighbouring runs,
+// ping-ponging between the drained array and ready. (at, rank) is a total
+// order, so the result is the unique sorted sequence whatever the
+// algorithm; a pathological same-tick flood costs O(n log n).
 func (w *timingWheel) drainSlot(idx uint64) {
 	b := w.take(0, idx)
-	w.ready = append(w.ready[:0], b...)
-	w.head = 0
+	w.ready, w.head = w.mergeRuns(w.ready, b), 0
 	w.giveBack(0, b)
-	sortEvents(w.ready)
+}
+
+// mergeRuns returns dst holding evs sorted by (at, rank), growing dst's
+// array only if it is too small. evs is scratch afterwards. ⌈log₂ runs⌉
+// merge passes alternate between the two arrays, so the side the first
+// pass reads is chosen by that count's parity for the last pass to write
+// dst: an odd count reads evs directly, an even one copies evs into dst
+// first. A slot that is one run costs exactly that copy.
+func (w *timingWheel) mergeRuns(dst, evs []event) []event {
+	n := len(evs)
+	dst = slices.Grow(dst[:0], n)[:n]
+	runs := append(w.runs[:0], 0)
+	for i := 1; i < n; i++ {
+		if eventBefore(&evs[i], &evs[i-1]) {
+			runs = append(runs, i)
+		}
+	}
+	runs = append(runs, n)
+	src, out := evs, dst
+	if bits.Len(uint(len(runs)-2))%2 == 0 {
+		copy(dst, evs)
+		src, out = dst, evs
+	}
+	// runs holds k+1 boundaries for k runs; each pass merges runs pairwise
+	// and keeps every second boundary, carrying an odd last run across.
+	for len(runs) > 2 {
+		k := 0
+		for i := 0; i+1 < len(runs); i += 2 {
+			lo := runs[i]
+			if i+2 < len(runs) {
+				mergeInto(out[lo:runs[i+2]], src[lo:runs[i+1]], src[runs[i+1]:runs[i+2]])
+			} else {
+				copy(out[lo:], src[lo:])
+			}
+			runs[k] = lo
+			k++
+		}
+		runs[k] = n
+		runs = runs[:k+1]
+		src, out = out, src
+	}
+	w.runs = runs
+	return dst
+}
+
+// mergeInto merges the sorted runs a and b into out, which has exactly
+// their combined length.
+func mergeInto(out, a, b []event) {
+	i, j, k := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		if eventBefore(&b[j], &a[i]) {
+			out[k] = b[j]
+			j++
+		} else {
+			out[k] = a[i]
+			i++
+		}
+		k++
+	}
+	k += copy(out[k:], a[i:])
+	copy(out[k:], b[j:])
 }
 
 // cascade re-places every event of bucket (lvl, idx) one level down.
@@ -352,53 +427,6 @@ func (w *timingWheel) scan(lvl int, from uint64) (uint64, bool) {
 		from = (word + 1) << 6
 	}
 	return 0, false
-}
-
-// sortEvents orders a drained slot by (at, rank): insertion sort for the
-// typical handful of events, in-place heapsort for pathological same-tick
-// floods. Both are deterministic — (at, rank) is a total order, so the
-// sorted sequence is unique regardless of algorithm.
-func sortEvents(evs []event) {
-	if len(evs) <= 32 {
-		for i := 1; i < len(evs); i++ {
-			ev := evs[i]
-			j := i
-			for j > 0 && eventBefore(&ev, &evs[j-1]) {
-				evs[j] = evs[j-1]
-				j--
-			}
-			evs[j] = ev
-		}
-		return
-	}
-	// Heapsort: build a max-heap, then repeatedly swap the max to the
-	// shrinking tail.
-	for i := len(evs)/2 - 1; i >= 0; i-- {
-		siftDownMax(evs, i, len(evs))
-	}
-	for end := len(evs) - 1; end > 0; end-- {
-		evs[0], evs[end] = evs[end], evs[0]
-		siftDownMax(evs, 0, end)
-	}
-}
-
-// siftDownMax restores the max-heap property for evs[:n] at root i.
-func siftDownMax(evs []event, i, n int) {
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && eventBefore(&evs[l], &evs[r]) {
-			m = r
-		}
-		if !eventBefore(&evs[i], &evs[m]) {
-			return
-		}
-		evs[i], evs[m] = evs[m], evs[i]
-		i = m
-	}
 }
 
 // reset empties the wheel while keeping every backing array warm, so a
